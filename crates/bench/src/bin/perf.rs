@@ -5,7 +5,6 @@
 //! cargo run --release -p wisync-bench --bin perf -- --quick      # single rep per case (CI smoke)
 //! cargo run --release -p wisync-bench --bin perf -- --check      # trend gate vs committed history; never rewrites results/
 //! cargo run --release -p wisync-bench --bin perf -- --out DIR    # write perf_baseline.json under DIR instead of results/
-//! cargo run --release -p wisync-bench --bin perf -- --scaling    # shard-scaling sweep, write results/shard_scaling.json
 //! ```
 //!
 //! `--check` measures the suite, compares its geomean `events_per_sec`
@@ -18,10 +17,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use wisync_bench::perf::{
-    check_against_history, extend_history, perf_report_json, run_perf_suite, run_shard_scaling,
-    shard_scaling_json,
-};
+use wisync_bench::perf::{check_against_history, extend_history, perf_report_json, run_perf_suite};
 use wisync_bench::report::{obs_overhead_ns, overhead_pct};
 use wisync_bench::BUDGET;
 use wisync_core::{Machine, MachineConfig};
@@ -32,7 +28,6 @@ struct Options {
     quick: bool,
     check: bool,
     stats: bool,
-    scaling: bool,
     out: Option<PathBuf>,
 }
 
@@ -41,7 +36,6 @@ fn parse_args() -> Options {
         quick: std::env::var_os("WISYNC_QUICK").is_some(),
         check: false,
         stats: false,
-        scaling: false,
         out: None,
     };
     let mut args = std::env::args().skip(1);
@@ -50,16 +44,13 @@ fn parse_args() -> Options {
             "--quick" => opts.quick = true,
             "--check" => opts.check = true,
             "--stats" => opts.stats = true,
-            "--scaling" => opts.scaling = true,
             "--out" => {
                 let dir = args
                     .next()
                     .unwrap_or_else(|| panic!("--out needs a directory"));
                 opts.out = Some(PathBuf::from(dir));
             }
-            other => panic!(
-                "unknown argument {other:?} (try --quick/--check/--stats/--scaling/--out DIR)"
-            ),
+            other => panic!("unknown argument {other:?} (try --quick/--check/--stats/--out DIR)"),
         }
     }
     opts
@@ -82,44 +73,8 @@ fn committed_path() -> PathBuf {
         .join("perf_baseline.json")
 }
 
-/// `--scaling`: measure the shard-scaling sweep and write the report.
-/// The JSON stamps host parallelism, so a ~1.0x speedup on a one-CPU
-/// runner reads as what it is rather than a broken executor.
-fn run_scaling(opts: &Options) -> ExitCode {
-    let reps = if opts.quick { 1 } else { 3 };
-    let profiles = run_shard_scaling(reps);
-    println!(
-        "{:<36} {:>7} {:>12} {:>14} {:>10}",
-        "profile", "shards", "wall_ms", "events/sec", "speedup"
-    );
-    for p in &profiles {
-        for pt in &p.points {
-            println!(
-                "{:<36} {:>7} {:>12.3} {:>14.0} {:>9.2}x",
-                p.name,
-                pt.shards,
-                pt.case.wall_ns as f64 / 1e6,
-                pt.case.events_per_sec(),
-                pt.speedup
-            );
-        }
-    }
-    let doc = shard_scaling_json(&profiles).render();
-    let path = match &opts.out {
-        Some(dir) => dir.join("shard_scaling.json"),
-        None => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../results")
-            .join("shard_scaling.json"),
-    };
-    write_doc(&path, &doc);
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let opts = parse_args();
-    if opts.scaling {
-        return run_scaling(&opts);
-    }
     let reps = if opts.quick { 1 } else { 3 };
     let cases = run_perf_suite(reps);
 

@@ -23,9 +23,7 @@ use std::time::Instant;
 
 use wisync_core::{Machine, MachineConfig};
 use wisync_testkit::Json;
-use wisync_workloads::{
-    AluPhases, AppProfile, AppWorkload, CasKernel, CasKind, Livermore, TightLoop,
-};
+use wisync_workloads::{AppProfile, AppWorkload, CasKernel, CasKind, Livermore, TightLoop};
 
 use crate::BUDGET;
 
@@ -156,26 +154,6 @@ pub fn run_perf_suite(reps: u32) -> Vec<PerfCase> {
         let mut m = Machine::new(MachineConfig::baseline(16));
         Livermore::loop3(4096, 8).load(&mut m);
         m.run(BUDGET);
-        m
-    }));
-
-    // Sharded parallel-in-run executor: the same compute-heavy phased
-    // workload serially and at K=4, so the trend series tracks both the
-    // serial fallback and the sharded path (on a single-CPU host the
-    // two collapse to the same inline code path — still worth tracking,
-    // since the batching machinery itself must not cost throughput).
-    let alu = AluPhases {
-        phases: 4,
-        work: 2048,
-    };
-    cases.push(measure("shard/aluphases_wisync_64c_k1", reps, move || {
-        let mut m = Machine::new(MachineConfig::wisync(64).with_shards(1));
-        alu.run_cycles(&mut m, BUDGET);
-        m
-    }));
-    cases.push(measure("shard/aluphases_wisync_64c_k4", reps, move || {
-        let mut m = Machine::new(MachineConfig::wisync(64).with_shards(4));
-        alu.run_cycles(&mut m, BUDGET);
         m
     }));
 
@@ -395,128 +373,6 @@ pub fn check_against_history(cases: &[PerfCase], baseline_text: &str) -> Result<
     }
 }
 
-/// One shard-count measurement of a scaling profile.
-#[derive(Clone, Debug)]
-pub struct ScalingPoint {
-    /// `WISYNC_SHARDS` value measured.
-    pub shards: usize,
-    /// The measurement (named `shardscale/<profile>_k<shards>`).
-    pub case: PerfCase,
-    /// Serial wall time over this point's wall time (1.0 at K=1).
-    pub speedup: f64,
-}
-
-/// One compute-heavy profile measured across shard counts.
-#[derive(Clone, Debug)]
-pub struct ScalingProfile {
-    /// Profile name (workload, architecture, core count).
-    pub name: String,
-    /// Measurements at K ∈ {1, 2, 4, 8}, serial first.
-    pub points: Vec<ScalingPoint>,
-}
-
-/// Measures the shard-scaling report: compute-heavy AluPhases profiles
-/// at 64 and 256 cores, each at K ∈ {1, 2, 4, 8}. Panics if any shard
-/// count changes the deterministic cycle/event counts — the scaling
-/// numbers are only honest if every K simulates the identical run.
-pub fn run_shard_scaling(reps: u32) -> Vec<ScalingProfile> {
-    let profiles: [(&str, usize, AluPhases); 2] = [
-        (
-            "aluphases_wisync_64c",
-            64,
-            AluPhases {
-                phases: 4,
-                work: 2048,
-            },
-        ),
-        (
-            "aluphases_wisync_256c",
-            256,
-            AluPhases {
-                phases: 2,
-                work: 2048,
-            },
-        ),
-    ];
-    profiles
-        .iter()
-        .map(|&(name, cores, alu)| {
-            let mut points = Vec::new();
-            for k in [1usize, 2, 4, 8] {
-                let case = measure(&format!("shardscale/{name}_k{k}"), reps, move || {
-                    let mut m = Machine::new(MachineConfig::wisync(cores).with_shards(k));
-                    alu.run_cycles(&mut m, BUDGET);
-                    m
-                });
-                points.push(ScalingPoint {
-                    shards: k,
-                    case,
-                    speedup: 1.0,
-                });
-            }
-            let serial = &points[0].case;
-            assert!(
-                points.iter().all(|p| (p.case.sim_cycles, p.case.sim_events)
-                    == (serial.sim_cycles, serial.sim_events)),
-                "{name}: shard count changed simulated counts — determinism broken"
-            );
-            let serial_ns = serial.wall_ns as f64;
-            for p in &mut points {
-                p.speedup = serial_ns / p.case.wall_ns as f64;
-            }
-            ScalingProfile {
-                name: name.to_string(),
-                points,
-            }
-        })
-        .collect()
-}
-
-/// Renders the scaling report as `results/shard_scaling.json`, stamped
-/// with the host parallelism the worker pool actually saw — on a
-/// single-CPU host every K runs inline and the honest speedup is ~1.0.
-pub fn shard_scaling_json(profiles: &[ScalingProfile]) -> Json {
-    let host = std::thread::available_parallelism().map_or(1, |p| p.get());
-    Json::obj([
-        ("schema", Json::from("wisync-shard-scaling/v1")),
-        ("host_parallelism", Json::U64(host as u64)),
-        (
-            "profiles",
-            Json::Arr(
-                profiles
-                    .iter()
-                    .map(|p| {
-                        Json::obj([
-                            ("name", Json::from(p.name.as_str())),
-                            (
-                                "points",
-                                Json::Arr(
-                                    p.points
-                                        .iter()
-                                        .map(|pt| {
-                                            Json::obj([
-                                                ("shards", Json::U64(pt.shards as u64)),
-                                                ("wall_ns", Json::U64(pt.case.wall_ns)),
-                                                ("sim_cycles", Json::U64(pt.case.sim_cycles)),
-                                                ("sim_events", Json::U64(pt.case.sim_events)),
-                                                (
-                                                    "events_per_sec",
-                                                    Json::F64(pt.case.events_per_sec()),
-                                                ),
-                                                ("speedup_vs_serial", Json::F64(pt.speedup)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,30 +480,6 @@ mod tests {
         assert!(err.contains("slowest case slow/one"), "{err}");
         assert!(err.contains("events/s"), "{err}");
         assert!(err.contains("% of the history geomean"), "{err}");
-    }
-
-    #[test]
-    fn scaling_json_shapes_and_stamps_host() {
-        let profiles = vec![ScalingProfile {
-            name: "aluphases_wisync_64c".to_string(),
-            points: vec![
-                ScalingPoint {
-                    shards: 1,
-                    case: fake_case("shardscale/aluphases_wisync_64c_k1", 200),
-                    speedup: 1.0,
-                },
-                ScalingPoint {
-                    shards: 4,
-                    case: fake_case("shardscale/aluphases_wisync_64c_k4", 100),
-                    speedup: 2.0,
-                },
-            ],
-        }];
-        let text = shard_scaling_json(&profiles).render();
-        assert!(text.contains("\"schema\": \"wisync-shard-scaling/v1\""));
-        assert!(text.contains("\"host_parallelism\""));
-        assert!(text.contains("\"speedup_vs_serial\": 2"));
-        assert!(text.contains("\"shards\": 4"));
     }
 
     #[test]

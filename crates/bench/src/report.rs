@@ -358,8 +358,8 @@ fn profile_json(
 /// The deterministic sync-episode profile document
 /// (`wisync-sync-profile/v1`): every committed field derives from
 /// simulated state, so the pinned run's export
-/// (`results/sync_profile.json`) is byte-reproducible across hosts,
-/// invocations, and `WISYNC_SHARDS` settings.
+/// (`results/sync_profile.json`) is byte-reproducible across hosts
+/// and invocations.
 pub fn sync_profile_json(p: &ProfiledRun) -> Json {
     Json::obj([
         ("schema", Json::Str("wisync-sync-profile/v1".to_string())),

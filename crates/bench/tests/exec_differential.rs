@@ -11,7 +11,7 @@
 
 use wisync_bench::report::assert_attribution_exact;
 use wisync_bench::BUDGET;
-use wisync_core::{ExecMode, Machine, MachineConfig, MachineKind, ObsConfig};
+use wisync_core::{ExecMode, Machine, MachineConfig, MachineKind, ObsConfig, RunOutcome};
 use wisync_testkit::{run_sweep, Json, SweepJob};
 use wisync_workloads::{CasKernel, CasKind, Livermore, TightLoop};
 
@@ -82,6 +82,22 @@ fn livermore_differential() {
     assert_modes_agree("Livermore", 16, &|m| {
         Livermore::loop3(64, 2).load(m);
     });
+}
+
+/// A budget that truncates a run mid-flight lands on the same outcome,
+/// clock, and statistics in both modes: inline-run batching must not
+/// move where the budget cuts the run.
+#[test]
+fn truncated_run_differential() {
+    let run = |exec: ExecMode| {
+        let mut m = Machine::new(MachineConfig::wisync(32).with_exec(exec));
+        TightLoop::new(64).load(&mut m);
+        let r = m.run(500);
+        (r.outcome, m.now().as_u64(), format!("{:?}", m.stats()))
+    };
+    let reference = run(ExecMode::Reference);
+    assert_eq!(reference.0, RunOutcome::CycleLimit);
+    assert_eq!(reference, run(ExecMode::Uop), "truncated run diverged");
 }
 
 /// Sweep JSON must be byte-identical between exec modes: the micro-op

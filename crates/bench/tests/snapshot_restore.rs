@@ -7,10 +7,10 @@
 //! register, BM replica, cache line, queued event, RNG stream, and
 //! obs/fault counter. The agreement half: a cut-and-resumed execution
 //! lands on the same stats and clock as one that was never interrupted.
-//! Both halves are pinned across the workload matrix, both exec modes,
-//! and several shard counts. The second group proves sealed-container
-//! hygiene: corrupted, truncated, or version-skewed snapshots are
-//! rejected with the right error, never silently loaded.
+//! Both halves are pinned across the workload matrix and both exec
+//! modes. The second group proves sealed-container hygiene: corrupted,
+//! truncated, or version-skewed snapshots are rejected with the right
+//! error, never silently loaded.
 
 use wisync_bench::BUDGET;
 use wisync_core::{ExecMode, FaultPlan, Machine, MachineConfig, ObsConfig, RunOutcome, SnapError};
@@ -72,21 +72,13 @@ fn matrix() -> Vec<(&'static str, usize, Loader)> {
     ]
 }
 
-/// The exec-mode × shard-count grid each workload runs under.
-fn exec_grid() -> [(ExecMode, usize); 3] {
-    [
-        (ExecMode::Uop, 1),
-        (ExecMode::Uop, 4),
-        (ExecMode::Reference, 1),
-    ]
-}
+/// The exec modes each workload runs under.
+const EXECS: [ExecMode; 2] = [ExecMode::Uop, ExecMode::Reference];
 
-fn build(kind: &str, cores: usize, exec: ExecMode, shards: usize, load: &Loader) -> Machine {
+fn build(kind: &str, cores: usize, exec: ExecMode, load: &Loader) -> Machine {
     let config = MachineConfig::wisync(cores)
         .with_seed(0xA5ED ^ kind.len() as u64)
-        .with_exec(exec)
-        .with_shards(shards)
-        .with_shard_threads(Some(if shards > 1 { 2 } else { 0 }));
+        .with_exec(exec);
     let mut m = Machine::new(config);
     m.enable_observability(ObsConfig::default());
     load(&mut m);
@@ -107,21 +99,20 @@ fn fingerprint(m: &Machine, outcome: RunOutcome) -> (String, u64, String, Vec<u8
 #[test]
 fn restored_machine_continues_byte_identically() {
     for (name, cores, load) in matrix() {
-        for (exec, shards) in exec_grid() {
+        for exec in EXECS {
             for &cut in &CUTS {
-                let mut original = build(name, cores, exec, shards, &load);
+                let mut original = build(name, cores, exec, &load);
                 original.run(cut);
                 let snap = original.snapshot();
 
-                let mut restored = Machine::restore(&snap).unwrap_or_else(|e| {
-                    panic!("{name} {exec:?} shards={shards} cut={cut}: restore failed: {e:?}")
-                });
+                let mut restored = Machine::restore(&snap)
+                    .unwrap_or_else(|e| panic!("{name} {exec:?} cut={cut}: restore failed: {e:?}"));
                 // Restoring must not disturb the state it read: the
                 // round-tripped machine re-serializes to the same bytes.
                 assert_eq!(
                     snap,
                     restored.snapshot(),
-                    "{name} {exec:?} shards={shards} cut={cut}: re-snapshot differs"
+                    "{name} {exec:?} cut={cut}: re-snapshot differs"
                 );
 
                 let a = original.run(BUDGET);
@@ -129,7 +120,7 @@ fn restored_machine_continues_byte_identically() {
                 assert_eq!(
                     fingerprint(&original, a.outcome),
                     fingerprint(&restored, b.outcome),
-                    "{name} {exec:?} shards={shards} cut={cut}: continuation diverged"
+                    "{name} {exec:?} cut={cut}: continuation diverged"
                 );
             }
         }
@@ -144,11 +135,11 @@ fn restored_machine_continues_byte_identically() {
 #[test]
 fn resumed_execution_matches_uninterrupted() {
     for (name, cores, load) in matrix() {
-        for (exec, shards) in exec_grid() {
-            let mut whole = build(name, cores, exec, shards, &load);
+        for exec in EXECS {
+            let mut whole = build(name, cores, exec, &load);
             let w = whole.run(BUDGET);
 
-            let mut cut_m = build(name, cores, exec, shards, &load);
+            let mut cut_m = build(name, cores, exec, &load);
             cut_m.run(CUTS[0]);
             let mut resumed = Machine::restore(&cut_m.snapshot()).unwrap();
             let r = resumed.run(BUDGET);
@@ -156,13 +147,13 @@ fn resumed_execution_matches_uninterrupted() {
             assert_eq!(
                 (w.outcome, whole.now(), format!("{:?}", whole.stats())),
                 (r.outcome, resumed.now(), format!("{:?}", resumed.stats())),
-                "{name} {exec:?} shards={shards}: resumed run diverged from uninterrupted"
+                "{name} {exec:?}: resumed run diverged from uninterrupted"
             );
             let totals = |m: &Machine| m.observability().unwrap().attrib.totals();
             assert_eq!(
                 totals(&whole),
                 totals(&resumed),
-                "{name} {exec:?} shards={shards}: obs bucket totals diverged"
+                "{name} {exec:?}: obs bucket totals diverged"
             );
         }
     }
@@ -222,7 +213,7 @@ fn wisync_sim_cycle(c: u64) -> wisync_sim::Cycle {
 #[test]
 fn snapshot_before_first_run_restores() {
     let load = matrix().remove(0).2;
-    let mut original = build("tight_loop", 64, ExecMode::Uop, 1, &load);
+    let mut original = build("tight_loop", 64, ExecMode::Uop, &load);
     let mut restored = Machine::restore(&original.snapshot()).unwrap();
     let a = original.run(BUDGET);
     let b = restored.run(BUDGET);
@@ -236,7 +227,7 @@ fn snapshot_before_first_run_restores() {
 
 fn sample_snapshot() -> Vec<u8> {
     let load = matrix().remove(0).2;
-    let mut m = build("tight_loop", 64, ExecMode::Uop, 1, &load);
+    let mut m = build("tight_loop", 64, ExecMode::Uop, &load);
     m.run(200);
     m.snapshot()
 }
@@ -277,6 +268,8 @@ fn foreign_magic_rejected() {
 fn version_skew_rejected() {
     let mut bytes = sample_snapshot();
     // The format version is the little-endian u32 after the 8-byte magic.
+    assert_eq!(wisync_core::SNAPSHOT_VERSION, 4);
+    assert_eq!(bytes[8..12], wisync_core::SNAPSHOT_VERSION.to_le_bytes());
     bytes[8] = bytes[8].wrapping_add(1);
     match Machine::restore(&bytes) {
         Err(SnapError::UnsupportedVersion { found, expected }) => {

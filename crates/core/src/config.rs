@@ -161,36 +161,6 @@ pub struct MachineConfig {
     pub seed: u64,
     /// Core-stepping interpreter (timing-neutral; see [`ExecMode`]).
     pub exec: ExecMode,
-    /// Number of shards the cores are partitioned into for parallel
-    /// in-run execution (result-neutral; 1 = fully serial). Named
-    /// constructors read the `WISYNC_SHARDS` environment variable;
-    /// [`MachineConfig::with_shards`] overrides it. Only the micro-op
-    /// interpreter has a parallel phase — under [`ExecMode::Reference`]
-    /// shard counts above 1 behave exactly like 1.
-    pub shards: usize,
-    /// Worker-thread override for the shard pool. `None` (the default,
-    /// overridable via `WISYNC_SHARD_THREADS`) sizes the pool from the
-    /// host's available parallelism; `Some(0)` forces inline execution.
-    /// Purely a placement knob: results are identical for every value.
-    pub shard_threads: Option<usize>,
-}
-
-/// Parses the `WISYNC_SHARDS` environment variable: a shard count in
-/// 1..=64, or 1 when unset or unparseable.
-fn shards_from_env() -> usize {
-    match std::env::var("WISYNC_SHARDS") {
-        Ok(v) => v.trim().parse::<usize>().map_or(1, |n| n.clamp(1, 64)),
-        Err(_) => 1,
-    }
-}
-
-/// Parses the `WISYNC_SHARD_THREADS` environment variable: an explicit
-/// worker count (0 = inline), or `None` when unset or unparseable.
-fn shard_threads_from_env() -> Option<usize> {
-    match std::env::var("WISYNC_SHARD_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().ok().map(|n| n.min(64)),
-        Err(_) => None,
-    }
 }
 
 impl MachineConfig {
@@ -219,8 +189,6 @@ impl MachineConfig {
             bm_consistency: BmConsistency::Sc,
             seed: 0xA5ED,
             exec: ExecMode::from_env(),
-            shards: shards_from_env(),
-            shard_threads: shard_threads_from_env(),
         }
     }
 
@@ -299,21 +267,6 @@ impl MachineConfig {
         self.exec = exec;
         self
     }
-
-    /// Overrides the shard count (clamped to 1..=64). Sharding is
-    /// result-neutral: every count replays to byte-identical reports.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, 64);
-        self
-    }
-
-    /// Overrides the shard pool's worker-thread count (placement only;
-    /// results are identical for every value, including `Some(0)` =
-    /// inline).
-    pub fn with_shard_threads(mut self, threads: Option<usize>) -> Self {
-        self.shard_threads = threads.map(|n| n.min(64));
-        self
-    }
 }
 
 #[cfg(test)]
@@ -378,32 +331,6 @@ mod tests {
         assert_eq!(ExecMode::Uop.to_string(), "uop");
         assert_eq!(ExecMode::Reference.to_string(), "reference");
         assert_eq!(ExecMode::default(), ExecMode::Uop);
-    }
-
-    #[test]
-    fn shard_knobs() {
-        // Default is serial unless WISYNC_SHARDS is set in the test
-        // environment (CI sets it for the shard re-run job).
-        let d = MachineConfig::wisync(64);
-        assert!(d.shards >= 1);
-        assert_eq!(MachineConfig::wisync(64).with_shards(4).shards, 4);
-        // Clamped to a sane range.
-        assert_eq!(MachineConfig::wisync(64).with_shards(0).shards, 1);
-        assert_eq!(MachineConfig::wisync(64).with_shards(1000).shards, 64);
-        let t = MachineConfig::wisync(64).with_shard_threads(Some(2));
-        assert_eq!(t.shard_threads, Some(2));
-        assert_eq!(
-            MachineConfig::wisync(64)
-                .with_shard_threads(Some(999))
-                .shard_threads,
-            Some(64)
-        );
-        assert_eq!(
-            MachineConfig::wisync(64)
-                .with_shard_threads(None)
-                .shard_threads,
-            None
-        );
     }
 
     #[test]

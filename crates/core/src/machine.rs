@@ -14,7 +14,7 @@ use wisync_isa::{Cond, DecodedProgram, Instr, Program, Reg, RmwSpec, Space};
 use wisync_mem::{MemOp, MemSystem, RmwKind};
 use wisync_noc::{Mesh, NodeId, NodeSet};
 use wisync_obs::{Bucket, Episodes, ObsConfig, ObsState, Timeline};
-use wisync_sim::{Cycle, DetRng, EventQueue, ShardPool};
+use wisync_sim::{Cycle, DetRng, EventQueue};
 use wisync_wireless::{DataChannel, Resolution, ToneChannel, TxLen, TxToken};
 
 use crate::bm::{BmError, BroadcastMemory, Pid};
@@ -27,14 +27,6 @@ use crate::trace::{Trace, TraceEvent, TraceSink};
 /// loop from starving the event loop. Both interpreters enforce it with
 /// identical accounting, so the event schedule is mode-independent.
 const MAX_BATCH: u64 = 1024;
-
-/// Minimum estimated inline micro-ops in a same-cycle Resume batch
-/// before the sharded executor hands the pre-run phase to the worker
-/// pool. Below this, the hand-off costs more than the inline work; the
-/// estimate (speculated entries × the EWMA of recent run lengths) is a
-/// pure function of simulated state, so the placement decision — like
-/// everything else in the sharded path — never depends on the host.
-const PAR_MIN_UOPS: u64 = 4096;
 
 /// Messages carried on the wireless Data channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -224,10 +216,10 @@ enum RunEnd {
     Boundary,
 }
 
-/// Result of pre-running one core's inline micro-op prefix: the retired
+/// Result of running one core's inline micro-op prefix: the retired
 /// inline count and how the run ended. Register and pc effects apply
 /// directly to the core; time, stats, obs, and the boundary instruction
-/// are settled later by `Machine::commit_uop_run`.
+/// are settled afterwards by `Machine::commit_uop_run`.
 #[derive(Clone, Copy, Debug)]
 struct UopRun {
     n: u64,
@@ -238,14 +230,11 @@ struct UopRun {
 /// touches only the core's own registers and program counter, stopping
 /// at the first run boundary or at the batch cap.
 ///
-/// This is the *pure* half of the micro-op interpreter: it reads and
-/// writes nothing but `c`, so the sharded executor may run it for many
-/// cores concurrently on disjoint `&mut Core` borrows. AFB/WCB are
-/// captured once at entry — during the inline prefix of a run no other
-/// machine state can change (boundaries are where events, stores, and
-/// deliveries act), and within a same-cycle Resume batch no commit
-/// mutates another core's fields, so the captured values equal what a
-/// serial interleaving would read.
+/// This is the core-local half of the micro-op interpreter: it reads
+/// and writes nothing but `c`, which keeps the hot loop free of borrows
+/// on the rest of the machine. AFB/WCB are captured once at entry —
+/// during the inline prefix of a run no other machine state can change
+/// (boundaries are where events, stores, and deliveries act).
 fn uop_inline_run(c: &mut Core) -> UopRun {
     let Core {
         decoded,
@@ -360,60 +349,6 @@ fn uop_inline_run(c: &mut Core) -> UopRun {
     };
     *core_pc = pc;
     UopRun { n, end }
-}
-
-/// State of the sharded (parallel-in-run) executor; present only when
-/// `MachineConfig::shards > 1` under the micro-op interpreter.
-///
-/// The executor batches the contiguous run of same-cycle `Resume`
-/// events at the head of the wheel, pre-runs the *speculable* entries'
-/// pure inline prefixes ([`uop_inline_run`]) on the worker pool, then
-/// commits every entry serially in original FIFO pop order — so channel
-/// arbitration, directory access, event pushes, stats, and obs all
-/// happen in exactly the serial engine's order, and results are
-/// bit-identical for every shard and worker count by construction.
-#[derive(Debug)]
-struct ShardExec {
-    pool: ShardPool,
-    /// Batch under construction: `(core, speculable)` in pop order.
-    batch: Vec<(usize, bool)>,
-    /// Pre-run results, parallel to `batch` (`None` for deferred
-    /// entries, which get a full `dispatch` at their commit slot).
-    runs: Vec<Option<UopRun>>,
-    /// Per-core membership flag: a core already in the batch is
-    /// deferred on its second same-cycle Resume (its first commit may
-    /// change any of its state).
-    in_batch: Vec<bool>,
-    /// EWMA of inline run lengths in 1/16ths of a micro-op, updated
-    /// from every committed batch (regardless of where it ran), used
-    /// with [`PAR_MIN_UOPS`] to decide pool vs. inline placement.
-    ewma_x16: u64,
-}
-
-/// Lifetime-erased pointers into the batch arrays for the pool
-/// broadcast. Tasks touch disjoint elements: task `i` writes `runs[i]`
-/// and the `Core` of batch entry `i`, and speculable entries name
-/// distinct cores (duplicates are deferred).
-struct BatchPtrs {
-    cores: *mut Core,
-    runs: *mut Option<UopRun>,
-}
-
-// SAFETY: see the disjointness argument on [`BatchPtrs`]; the pointers
-// outlive the broadcast because it is a barrier.
-unsafe impl Sync for BatchPtrs {}
-
-impl BatchPtrs {
-    /// Pre-runs batch entry `i` (core `core`) and records its result.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee no other live access to `cores[core]` or
-    /// `runs[i]` — the sharded executor does, by deferring duplicate
-    /// cores and giving each task its own `runs` slot.
-    unsafe fn run_spec(&self, core: usize, i: usize) {
-        *self.runs.add(i) = Some(uop_inline_run(&mut *self.cores.add(core)));
-    }
 }
 
 /// Arrivals recorded while a barrier's init message is still in flight.
@@ -575,10 +510,6 @@ pub struct Machine {
     /// Fault injection state; `None` (the default) costs nothing: no
     /// hooks run, no randomness is drawn, event order is untouched.
     fault: Option<Box<FaultState>>,
-    /// Sharded parallel-in-run executor; `None` (shards == 1, or the
-    /// reference interpreter) leaves the serial path untouched. Results
-    /// are bit-identical either way — see [`ShardExec`].
-    shard: Option<Box<ShardExec>>,
 }
 
 impl Machine {
@@ -614,30 +545,6 @@ impl Machine {
             trace: None,
             obs: None,
             fault: None,
-            // Sharding exists only for the micro-op interpreter (the
-            // reference path is the serial executable specification);
-            // `shards == 1` or Reference mode stays fully serial.
-            shard: (config.shards > 1 && config.exec == ExecMode::Uop).then(|| {
-                // K shards = at most K threads stepping cores: the
-                // publisher plus up to K-1 workers. The pool size comes
-                // from the host's parallelism (0 extra workers on a
-                // single-CPU host = inline, zero hand-off cost) unless
-                // explicitly overridden; placement never affects
-                // results.
-                let workers = config
-                    .shard_threads
-                    .unwrap_or_else(|| {
-                        std::thread::available_parallelism().map_or(0, |p| p.get() - 1)
-                    })
-                    .min(config.shards - 1);
-                Box::new(ShardExec {
-                    pool: ShardPool::new(workers),
-                    batch: Vec::with_capacity(config.cores),
-                    runs: Vec::with_capacity(config.cores),
-                    in_batch: vec![false; config.cores],
-                    ewma_x16: 0,
-                })
-            }),
             config,
         }
     }
@@ -802,9 +709,8 @@ impl Machine {
         }
     }
 
-    /// Bumps the sync-episode recorder. Every call site sits on the
-    /// serial commit path (deliveries, tone completions, RMW issue), so
-    /// the recorded episodes are identical across shard settings.
+    /// Bumps the sync-episode recorder. Call sites are deliveries, tone
+    /// completions, and RMW issue.
     #[inline]
     fn obs_episodes(&mut self, f: impl FnOnce(&mut Episodes)) {
         if let Some(o) = self.obs.as_deref_mut() {
@@ -1112,12 +1018,6 @@ impl Machine {
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             self.stats.sim_events += 1;
-            if self.shard.is_some() {
-                if let Event::Resume(core) = ev {
-                    self.run_resume_batch(core);
-                    continue;
-                }
-            }
             self.dispatch(ev);
         }
         // Attribution runs through the last core's retirement, which can
@@ -1346,20 +1246,17 @@ impl Machine {
 
     /// Micro-op fast path: walks the core's pre-decoded program in a
     /// tight loop that touches only the register file and the program
-    /// counter, then settles time and stats in bulk at the run boundary
-    /// (or at the batch cap). During the inline prefix of a run no other
-    /// machine state can change — boundaries are where events, stores,
-    /// and deliveries act — so AFB/WCB are captured once at entry.
+    /// counter ([`uop_inline_run`]), then settles time and stats in bulk
+    /// at the run boundary or the batch cap ([`Machine::commit_uop_run`]).
     fn advance_core_uop(&mut self, core: usize) {
         self.obs_sync(core);
         let run = uop_inline_run(&mut self.cores[core]);
         self.commit_uop_run(core, run);
     }
 
-    /// Settles time, stats, obs, and the run-ending boundary of a
-    /// pre-executed inline prefix (see [`uop_inline_run`]). Everything
-    /// here mutates shared machine state, so the sharded executor calls
-    /// it serially, in original event pop order.
+    /// Settles time, stats, obs, and the run-ending boundary of an
+    /// executed inline prefix (see [`uop_inline_run`]): everything the
+    /// run does to state outside its own core happens here.
     fn commit_uop_run(&mut self, core: usize, run: UopRun) {
         self.stats.instructions += run.n;
         let t = self.now + run.n;
@@ -1408,121 +1305,6 @@ impl Machine {
                 self.exec_boundary(core, instr, pc, t);
             }
         }
-    }
-
-    /// Whether a same-cycle `Resume` for `core` may have its inline
-    /// prefix pre-run in parallel. Anything else is deferred to a full
-    /// [`Machine::dispatch`] at its commit slot: a pending load's value
-    /// depends on same-cycle earlier store commits, a pending
-    /// preemption parks instead of running, and terminal statuses
-    /// ignore the event entirely.
-    fn speculable(&self, core: usize) -> bool {
-        let c = &self.cores[core];
-        matches!(
-            c.status,
-            CoreStatus::Running | CoreStatus::Blocked | CoreStatus::Sleeping
-        ) && c.pending_load.is_none()
-            && !c.preempt_pending
-            && c.decoded.is_some()
-            && c.program.is_some()
-    }
-
-    /// Sharded-executor entry: handles the contiguous run of `Resume`
-    /// events at the head of the wheel for the current cycle as one
-    /// batch. `first` was already popped (and counted) by the run loop.
-    ///
-    /// Determinism argument, in full:
-    /// 1. Only the contiguous same-cycle `Resume` prefix is batched —
-    ///    any other event type ends collection, so cross-core effects
-    ///    (deliveries, channel resolution, tone completions) happen
-    ///    strictly before or after the batch, exactly as serially.
-    /// 2. The pre-run phase runs [`uop_inline_run`] on disjoint
-    ///    `&mut Core`s; it reads and writes nothing shared. Placement
-    ///    (pool vs. inline) therefore cannot be observed.
-    /// 3. Commits replay in original FIFO pop order, serially, on the
-    ///    caller's thread. A commit mutates only its own core, the
-    ///    shared substrates, and the queue — and no Resume-boundary
-    ///    path writes another core's fields (RMW breaking and waiter
-    ///    wake-ups live on delivery paths, which are never batched) —
-    ///    so entry *i*'s commit sees exactly the state a serial engine
-    ///    would have after entries `0..i`.
-    /// 4. Same-cycle pushes made by a commit land at the slot's tail,
-    ///    after the already-popped batch — the position they would
-    ///    occupy serially, since earlier batch entries popped first.
-    fn run_resume_batch(&mut self, first: usize) {
-        let at = self.now;
-        let mut sx = self.shard.take().expect("sharded executor present");
-        sx.batch.clear();
-        sx.runs.clear();
-        sx.batch.push((first, self.speculable(first)));
-        sx.in_batch[first] = true;
-        while let Some((c, Event::Resume(_))) = self.queue.peek() {
-            if c != at {
-                break;
-            }
-            let Some(Event::Resume(core)) = self.queue.pop_at(at) else {
-                unreachable!("peeked a same-cycle Resume");
-            };
-            let spec = !sx.in_batch[core] && self.speculable(core);
-            sx.batch.push((core, spec));
-            sx.in_batch[core] = true;
-        }
-        sx.runs.resize(sx.batch.len(), None);
-
-        // Pre-run phase: pure, core-local, parallel-safe. The directory
-        // is sealed for the duration (serialized at the boundary).
-        let spec_count = sx.batch.iter().filter(|&&(_, s)| s).count() as u64;
-        let use_pool = sx.pool.workers() > 0
-            && spec_count >= 2
-            && spec_count * (sx.ewma_x16 >> 4) >= PAR_MIN_UOPS;
-        self.mem.set_parallel_phase(true);
-        if use_pool {
-            let ptrs = BatchPtrs {
-                cores: self.cores.as_mut_ptr(),
-                runs: sx.runs.as_mut_ptr(),
-            };
-            let batch = &sx.batch;
-            sx.pool.broadcast(batch.len(), &|i| {
-                let (core, spec) = batch[i];
-                if !spec {
-                    return;
-                }
-                // SAFETY: speculable entries name distinct cores and
-                // each task owns its own `runs` slot (see `BatchPtrs`).
-                unsafe { ptrs.run_spec(core, i) }
-            });
-        } else {
-            for (i, &(core, spec)) in sx.batch.iter().enumerate() {
-                if spec {
-                    sx.runs[i] = Some(uop_inline_run(&mut self.cores[core]));
-                }
-            }
-        }
-        self.mem.set_parallel_phase(false);
-
-        // Commit phase: serial, in pop order. The run loop counted the
-        // first event; the extra batch entries are counted here.
-        let mut ewma = sx.ewma_x16;
-        for (i, &(core, _)) in sx.batch.iter().enumerate() {
-            sx.in_batch[core] = false;
-            if i > 0 {
-                self.stats.sim_events += 1;
-            }
-            match sx.runs[i] {
-                Some(run) => {
-                    // The dispatch preamble a speculable entry skipped:
-                    // no pending load, no pending preemption, so only
-                    // the status transition remains.
-                    self.cores[core].status = CoreStatus::Running;
-                    self.obs_sync(core);
-                    self.commit_uop_run(core, run);
-                    ewma = ewma - (ewma >> 3) + (run.n << 1);
-                }
-                None => self.dispatch(Event::Resume(core)),
-            }
-        }
-        sx.ewma_x16 = ewma;
-        self.shard = Some(sx);
     }
 
     /// Reference interpreter: per-`Instr` decode and dispatch, kept as
@@ -1964,11 +1746,11 @@ impl Machine {
         let ch = self.channel_of(frame.msg.phys());
         let node = self.node(core);
         let (token, slot) = self.data[ch].request(node, len, frame, at);
-        // The conservative-lookahead invariant the sharded executor
-        // leans on (`WirelessConfig::min_lookahead_cycles`): every
-        // channel request made while committing the current cycle's
-        // batch resolves strictly in the future, so arbitration is
-        // never due inside the batch being committed.
+        // Channel invariant: every request is issued at least one cycle
+        // after the instruction or delivery that makes it, and no MAC
+        // slots a request before its issue cycle, so arbitration always
+        // resolves strictly after the current cycle — never at a cycle
+        // the run loop has already entered.
         debug_assert!(
             slot > self.now,
             "channel arbitration scheduled at {slot:?} within the current cycle {:?}",
@@ -2588,10 +2370,8 @@ impl Machine {
 // byte-identically to one that was never interrupted. The format is a
 // sealed `wisync_sim::snap` container: magic + version + payload digest,
 // so corrupted or version-skewed snapshots are rejected, never silently
-// loaded. Two pieces of machine state are deliberately NOT captured:
-// the trace sink (a host-side observer; reinstall one after restoring)
-// and the shard executor (host placement state, rebuilt from the
-// restored config — sharding is result-neutral by construction).
+// loaded. The trace sink (a host-side observer; reinstall one after
+// restoring) is deliberately NOT captured.
 
 use wisync_sim::{SnapError, SnapReader, SnapWriter};
 
@@ -2602,7 +2382,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"WISYNCSN";
 
 /// Machine snapshot format version. Bump on any layout change; old
 /// versions are rejected with [`SnapError::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 fn write_space(w: &mut SnapWriter, s: Space) {
     w.u8(match s {
@@ -3213,8 +2993,6 @@ fn write_config(w: &mut SnapWriter, c: &MachineConfig) {
         ExecMode::Uop => 0,
         ExecMode::Reference => 1,
     });
-    w.usize(c.shards);
-    w.option(c.shard_threads, |w, t| w.usize(t));
 }
 
 fn read_config(r: &mut SnapReader<'_>) -> Result<MachineConfig, SnapError> {
@@ -3271,8 +3049,6 @@ fn read_config(r: &mut SnapReader<'_>) -> Result<MachineConfig, SnapError> {
             1 => ExecMode::Reference,
             _ => return Err(SnapError::Invalid("exec mode tag")),
         },
-        shards: r.usize()?,
-        shard_threads: r.option(|r| r.usize())?,
     })
 }
 
@@ -3423,10 +3199,9 @@ impl Machine {
     ///
     /// Identical machine states produce identical bytes (hash-map state
     /// is written in sorted key order throughout), so the snapshot also
-    /// serves as a state fingerprint. The trace sink and the shard
-    /// worker pool are host-side state and are not captured: reinstall
-    /// a sink after restoring if tracing is wanted (the shard pool is
-    /// rebuilt automatically from the restored config).
+    /// serves as a state fingerprint. The trace sink is host-side state
+    /// and is not captured: reinstall a sink after restoring if tracing
+    /// is wanted.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         write_config(&mut w, &self.config);
@@ -3477,7 +3252,7 @@ impl Machine {
     /// The restored machine's next [`Machine::run`] produces exactly the
     /// results the snapshotted machine's would have — same stats, same
     /// clock, same BM and memory state, same obs profile (test-proven
-    /// across workloads, exec modes, and shard counts).
+    /// across workloads and exec modes).
     ///
     /// # Errors
     ///

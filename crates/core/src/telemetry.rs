@@ -10,7 +10,7 @@
 //!
 //! Readers take a [`snapshot`]; deltas between two snapshots bound the
 //! sync activity that completed in between. With several machines
-//! running concurrently (sharded serve jobs) the counters aggregate
+//! running concurrently (parallel serve jobs) the counters aggregate
 //! across all of them, which is exactly what a service-level progress
 //! probe wants.
 

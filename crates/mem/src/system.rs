@@ -188,11 +188,6 @@ pub struct MemSystem {
     data: WordStore,
     waiters: FxHashMap<u64, Vec<NodeId>>,
     stats: MemStats,
-    /// True while the sharded executor runs core-local work in parallel.
-    /// Directory transactions are serialized at the window boundary: no
-    /// [`MemSystem::access`] may happen during the parallel phase, and a
-    /// debug assertion enforces that contract.
-    parallel_phase: bool,
 }
 
 impl MemSystem {
@@ -208,17 +203,7 @@ impl MemSystem {
             data: WordStore::default(),
             waiters: FxHashMap::default(),
             stats: MemStats::default(),
-            parallel_phase: false,
         }
-    }
-
-    /// Marks the start (`true`) or end (`false`) of a parallel core-local
-    /// execution phase. While the flag is set, the directory must stay
-    /// untouched — coherence transactions are a serialization point and
-    /// are resolved only at window boundaries, in deterministic
-    /// (cycle, core-id) order. [`MemSystem::access`] debug-asserts this.
-    pub fn set_parallel_phase(&mut self, active: bool) {
-        self.parallel_phase = active;
     }
 
     /// The configuration this system was built with.
@@ -272,11 +257,6 @@ impl MemSystem {
     ///
     /// Panics if `addr` is not 8-byte aligned or `core` is out of range.
     pub fn access(&mut self, core: NodeId, addr: u64, op: MemOp, now: Cycle) -> MemOutcome {
-        debug_assert!(
-            !self.parallel_phase,
-            "directory access during a parallel phase: coherence must be \
-             resolved serially at the window boundary"
-        );
         assert_eq!(addr % 8, 0, "unaligned word access at {addr:#x}");
         assert!(
             core.as_usize() < self.mesh.len(),
@@ -536,11 +516,7 @@ impl MemSystem {
     /// so identical states produce identical bytes regardless of
     /// insertion history. The config and mesh are *not* stored — the
     /// restorer rebuilds them from the machine configuration.
-    ///
-    /// Must be called outside a parallel phase (snapshots are taken at
-    /// run-boundary cycles, where that always holds).
     pub fn write_snap(&self, w: &mut wisync_sim::SnapWriter) {
-        debug_assert!(!self.parallel_phase, "snapshot during a parallel phase");
         w.seq(self.l1.len());
         for l1 in &self.l1 {
             l1.write_snap(w);
@@ -893,24 +869,6 @@ mod tests {
     #[should_panic(expected = "unaligned")]
     fn unaligned_access_panics() {
         sys(16).access(NodeId(0), 3, MemOp::Load, Cycle(0));
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "parallel phase")]
-    fn access_during_parallel_phase_is_rejected() {
-        let mut m = sys(16);
-        m.set_parallel_phase(true);
-        m.access(NodeId(0), 0x100, MemOp::Load, Cycle(0));
-    }
-
-    #[test]
-    fn parallel_phase_flag_clears() {
-        let mut m = sys(16);
-        m.set_parallel_phase(true);
-        m.set_parallel_phase(false);
-        let r = m.access(NodeId(0), 0x100, MemOp::Load, Cycle(0));
-        assert_eq!(r.value, 0);
     }
 
     #[test]

@@ -240,8 +240,7 @@ struct LockState {
 /// The episode recorder: bounded rings of completed records plus the
 /// per-address / per-core trackers that feed them. The machine writes
 /// it through `ObsState` and never reads it back (the standard
-/// observability contract), and every hook sits on the serial commit
-/// path, so the recorded bytes are identical across shard settings.
+/// observability contract), so recording cannot perturb a run.
 #[derive(Clone, Debug)]
 pub struct Episodes {
     capacity: usize,

@@ -9,8 +9,7 @@
 //! reproduces the full run's rows verbatim.
 //!
 //! Every result is content-addressed by a digest over the canonical
-//! spec, the execution knobs (`WISYNC_EXEC` / `WISYNC_SHARDS` /
-//! `WISYNC_SHARD_THREADS`, observability/fault enablement), and the
+//! spec, the execution knobs (`WISYNC_EXEC` / `WISYNC_MAC`), and the
 //! code version (see [`spec::cache_key`]). Resubmitting an
 //! already-answered spec is a cache hit served from
 //! `cache/<key>.json` with zero simulation work; changing any

@@ -4,13 +4,12 @@
 //! experiment grid to produce, under which base seed, at which grid
 //! scale. The service content-addresses every result by a digest over
 //! the *canonical* spec plus everything else that can change the bytes
-//! of the answer: the execution-mode and sharding knobs
-//! (`WISYNC_EXEC`, `WISYNC_SHARDS`, `WISYNC_SHARD_THREADS` — the
-//! determinism contract says they *shouldn't* change results, so keying
-//! on them turns any contract violation into a cache miss instead of a
+//! of the answer: the execution-mode knob (`WISYNC_EXEC` — the
+//! determinism contract says it *shouldn't* change results, so keying
+//! on it turns any contract violation into a cache miss instead of a
 //! silently wrong cache hit), the MAC policy (`WISYNC_MAC` — which
-//! *does* change result bytes away from the default backoff),
-//! observability/fault enablement, and the code version. Two submissions that differ only in JSON whitespace or
+//! *does* change result bytes away from the default backoff), and the
+//! code version. Two submissions that differ only in JSON whitespace or
 //! key order map to the same key; two that differ in any
 //! result-relevant knob never collide.
 
@@ -100,26 +99,15 @@ impl JobSpec {
 pub struct ExecKnobs {
     /// `WISYNC_EXEC` (uop/reference), or `"default"` when unset.
     pub exec: String,
-    /// `WISYNC_SHARDS`, or `"default"` when unset.
-    pub shards: String,
-    /// `WISYNC_SHARD_THREADS`, or `"default"` when unset.
-    pub shard_threads: String,
     /// `WISYNC_MAC` (the Data channel medium-access policy — *does*
     /// change result bytes for any value other than the default
     /// backoff), or `"default"` when unset.
     pub mac: String,
-    /// Whether the service runs grid jobs with observability attached.
-    pub obs: bool,
-    /// Whether a fault plan is injected into grid jobs.
-    pub fault: bool,
 }
 
 impl ExecKnobs {
     /// Reads the knobs the way `MachineConfig::from_env` will when the
-    /// jobs actually run. The grid jobs themselves never enable
-    /// observability or fault injection, so those are keyed `false`
-    /// here; the fields exist so a future service mode that does enable
-    /// them cannot collide with today's cache entries.
+    /// jobs actually run.
     pub fn from_env() -> ExecKnobs {
         let env = |name: &str| {
             std::env::var(name)
@@ -129,11 +117,7 @@ impl ExecKnobs {
         };
         ExecKnobs {
             exec: env("WISYNC_EXEC"),
-            shards: env("WISYNC_SHARDS"),
-            shard_threads: env("WISYNC_SHARD_THREADS"),
             mac: env("WISYNC_MAC"),
-            obs: false,
-            fault: false,
         }
     }
 }
@@ -153,11 +137,7 @@ pub fn cache_key(spec: &JobSpec, knobs: &ExecKnobs) -> u128 {
             )),
         ),
         ("exec", Json::Str(knobs.exec.clone())),
-        ("fault", Json::Bool(knobs.fault)),
         ("mac", Json::Str(knobs.mac.clone())),
-        ("obs", Json::Bool(knobs.obs)),
-        ("shard_threads", Json::Str(knobs.shard_threads.clone())),
-        ("shards", Json::Str(knobs.shards.clone())),
         ("spec", spec.canonical()),
     ]);
     doc.canonical_digest()
@@ -175,11 +155,7 @@ mod tests {
     fn knobs() -> ExecKnobs {
         ExecKnobs {
             exec: "default".to_string(),
-            shards: "default".to_string(),
-            shard_threads: "default".to_string(),
             mac: "default".to_string(),
-            obs: false,
-            fault: false,
         }
     }
 
@@ -228,17 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn key_folds_in_exec_and_shard_knobs() {
+    fn key_folds_in_exec_and_mac_knobs() {
         let spec = JobSpec::new("fig7");
         let base = cache_key(&spec, &knobs());
         let mut k = knobs();
         k.exec = "reference".to_string();
-        assert_ne!(base, cache_key(&spec, &k));
-        let mut k = knobs();
-        k.shards = "4".to_string();
-        assert_ne!(base, cache_key(&spec, &k));
-        let mut k = knobs();
-        k.shard_threads = "2".to_string();
         assert_ne!(base, cache_key(&spec, &k));
         // The MAC policy genuinely changes result bytes, so two runs
         // under different `WISYNC_MAC` values must never share a cache
@@ -250,12 +220,6 @@ mod tests {
         assert_ne!(base, token_key);
         k.mac = "hybrid".to_string();
         assert_ne!(token_key, cache_key(&spec, &k));
-        let mut k = knobs();
-        k.obs = true;
-        assert_ne!(base, cache_key(&spec, &k));
-        let mut k = knobs();
-        k.fault = true;
-        assert_ne!(base, cache_key(&spec, &k));
     }
 
     #[test]

@@ -26,11 +26,7 @@ fn cache_dir(test: &str) -> PathBuf {
 fn pinned_knobs() -> ExecKnobs {
     ExecKnobs {
         exec: "default".to_string(),
-        shards: "default".to_string(),
-        shard_threads: "default".to_string(),
         mac: "default".to_string(),
-        obs: false,
-        fault: false,
     }
 }
 
@@ -91,15 +87,11 @@ fn knob_differing_submissions_get_distinct_keys() {
     let mut base = JobService::new(&dir, 1).unwrap().with_knobs(pinned_knobs());
     let first = base.submit(spec).unwrap();
 
-    // Same directory, different exec/shard knobs: every knob change
+    // Same directory, different exec/MAC knobs: every knob change
     // must produce a fresh key (a miss), never a false cache hit.
     for mutate in [
         |k: &mut ExecKnobs| k.exec = "reference".to_string(),
-        |k: &mut ExecKnobs| k.shards = "4".to_string(),
-        |k: &mut ExecKnobs| k.shard_threads = "2".to_string(),
         |k: &mut ExecKnobs| k.mac = "token".to_string(),
-        |k: &mut ExecKnobs| k.obs = true,
-        |k: &mut ExecKnobs| k.fault = true,
     ] {
         let mut knobs = pinned_knobs();
         mutate(&mut knobs);

@@ -34,7 +34,6 @@
 pub mod hash;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod snap;
 pub mod stats;
 pub mod time;
@@ -42,7 +41,6 @@ pub mod time;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{EventQueue, ReferenceEventQueue};
 pub use rng::DetRng;
-pub use shard::ShardPool;
 pub use snap::{SnapError, SnapReader, SnapWriter};
 pub use stats::{Counter, Histogram, StatSet, Utilization};
 pub use time::Cycle;

@@ -293,33 +293,6 @@ impl<E> EventQueue<E> {
         self.overflow.peek().map(|Reverse(e)| e.at)
     }
 
-    /// Returns the earliest pending event and its cycle without removing
-    /// it — the next `pop` returns exactly this event. Used by batch
-    /// scanners that must inspect the head before deciding to consume
-    /// it (the sharded machine's same-cycle speculation window).
-    pub fn peek(&self) -> Option<(Cycle, &E)> {
-        if let Some(Reverse(e)) = self.past.peek() {
-            return Some((e.at, &e.event));
-        }
-        if let Some(c) = self.wheel_min() {
-            let slot = (c & WHEEL_MASK) as usize;
-            return Some((Cycle(c), self.wheel[slot].front().expect("occupied slot")));
-        }
-        self.overflow.peek().map(|Reverse(e)| (e.at, &e.event))
-    }
-
-    /// Removes and returns the earliest event only if it is scheduled
-    /// exactly at `at`; otherwise leaves the queue untouched. Batch
-    /// drains of one cycle's events cost one occupancy-bitmap scan for
-    /// the whole run of same-slot pops (see `pop`'s fast path), not one
-    /// scan per probe.
-    pub fn pop_at(&mut self, at: Cycle) -> Option<E> {
-        match self.peek_cycle() {
-            Some(c) if c == at => self.pop().map(|(_, e)| e),
-            _ => None,
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -428,21 +401,6 @@ impl<E> ReferenceEventQueue<E> {
     /// it.
     pub fn peek_cycle(&self) -> Option<Cycle> {
         self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Returns the earliest pending event and its cycle without removing
-    /// it (see [`EventQueue::peek`]).
-    pub fn peek(&self) -> Option<(Cycle, &E)> {
-        self.heap.peek().map(|Reverse(e)| (e.at, &e.event))
-    }
-
-    /// Removes and returns the earliest event only if it is scheduled
-    /// exactly at `at` (see [`EventQueue::pop_at`]).
-    pub fn pop_at(&mut self, at: Cycle) -> Option<E> {
-        match self.peek_cycle() {
-            Some(c) if c == at => self.pop().map(|(_, e)| e),
-            _ => None,
-        }
     }
 
     /// Number of pending events.

@@ -29,11 +29,6 @@ enum Op {
         at: u64,
     },
     Pop,
-    /// Pop only if the head is exactly at `last_pop + delta` — the
-    /// sharded machine's batch-drain primitive.
-    PopAt {
-        delta: u64,
-    },
     Clear,
 }
 
@@ -49,9 +44,6 @@ fn op_gen() -> BoxedGen<Op> {
             .boxed(),
         gen::range(0u64..50).map(|at| Op::PushAbs { at }).boxed(),
         gen::range(0u32..3).map(|_| Op::Pop).boxed(),
-        // Mostly delta 0 (hit the head: the machine's same-cycle batch
-        // drain), sometimes a miss.
-        gen::range(0u64..3).map(|delta| Op::PopAt { delta }).boxed(),
         gen::range(0u32..1).map(|_| Op::Clear).boxed(),
     ])
     .boxed()
@@ -85,15 +77,6 @@ fn queues_agree(ops: &[Op]) -> PropResult {
                     clock = at.as_u64();
                 }
             }
-            Op::PopAt { delta } => {
-                let at = Cycle(clock + delta);
-                let got = wheel.pop_at(at);
-                let want = reference.pop_at(at);
-                prop_assert_eq!(got, want, "pop_at mismatch at op {}", i);
-                if got.is_some() {
-                    clock = at.as_u64();
-                }
-            }
             Op::Clear => {
                 wheel.clear();
                 reference.clear();
@@ -104,12 +87,6 @@ fn queues_agree(ops: &[Op]) -> PropResult {
             wheel.peek_cycle(),
             reference.peek_cycle(),
             "peek mismatch at op {}",
-            i
-        );
-        prop_assert_eq!(
-            wheel.peek().map(|(at, e)| (at, *e)),
-            reference.peek().map(|(at, e)| (at, *e)),
-            "peek event mismatch at op {}",
             i
         );
         prop_assert_eq!(wheel.is_empty(), reference.is_empty());
@@ -140,27 +117,8 @@ fn wheel_matches_reference_heap_on_arbitrary_interleavings() {
 /// Pinned corner cases: shapes the generator may take a while to hit.
 #[test]
 fn pinned_corner_interleavings() {
-    use Op::{Clear, Pop, PopAt, Push, PushAbs, PushFar};
+    use Op::{Clear, Pop, Push, PushAbs, PushFar};
     let cases: Vec<Vec<Op>> = vec![
-        // pop_at hitting the head mid-slot-drain (same-cycle FIFO), then a
-        // miss one cycle later, then a hit after a plain pop re-anchors.
-        vec![
-            Push { delta: 7 },
-            Push { delta: 7 },
-            Pop,
-            PopAt { delta: 0 },
-            PopAt { delta: 1 },
-            Push { delta: 2 },
-            PopAt { delta: 2 },
-        ],
-        // pop_at on an empty queue and on a past-heap head.
-        vec![
-            PopAt { delta: 0 },
-            Push { delta: 400 },
-            Pop,
-            PushAbs { at: 1 },
-            PopAt { delta: 0 },
-        ],
         // Same-cycle FIFO through a partially drained slot.
         vec![
             Push { delta: 9 },

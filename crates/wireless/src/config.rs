@@ -134,29 +134,6 @@ pub struct WirelessConfig {
 }
 
 impl WirelessConfig {
-    /// Conservative channel lookahead: the minimum number of cycles any
-    /// channel request issued *now* keeps the requester from observing a
-    /// cross-core effect. Every arbitration outcome — a started transfer
-    /// (`tx_cycles`), a collision (`collision_cycles`), or a deferral to
-    /// a busy channel's release — completes no sooner than `now + this`,
-    /// so the sharded executor may run core-local work for a same-cycle
-    /// batch in parallel and still resolve all arbitration serially at
-    /// the window edge without missing an interaction.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wisync_wireless::WirelessConfig;
-    ///
-    /// assert_eq!(WirelessConfig::default().min_lookahead_cycles(), 2);
-    /// ```
-    pub fn min_lookahead_cycles(&self) -> u64 {
-        self.tx_cycles
-            .min(self.bulk_cycles)
-            .min(self.collision_cycles)
-            .max(1)
-    }
-
     /// The paper's Table 1 parameters.
     pub fn new() -> Self {
         WirelessConfig {
@@ -205,20 +182,5 @@ mod tests {
         );
         assert_eq!(MacPolicy::parse("nonsense"), None);
         assert_eq!(MacPolicy::default(), MacPolicy::Exponential);
-    }
-
-    #[test]
-    fn lookahead_is_the_tightest_channel_occupancy() {
-        // Paper defaults: collisions release the channel fastest.
-        assert_eq!(WirelessConfig::default().min_lookahead_cycles(), 2);
-        // A degenerate zero-cycle config still yields a positive window
-        // (the executor needs strictly-future completions).
-        let zero = WirelessConfig {
-            tx_cycles: 0,
-            bulk_cycles: 0,
-            collision_cycles: 0,
-            ..WirelessConfig::default()
-        };
-        assert_eq!(zero.min_lookahead_cycles(), 1);
     }
 }

@@ -5,9 +5,8 @@
 //! in a barrier. The inner loop is thousands of micro-ops, so on the
 //! micro-op interpreter every episode is executed as a chain of
 //! batch-capped inline runs; with all cores in lockstep, each cap
-//! boundary produces a same-cycle `Resume` for every core — the exact
-//! shape the sharded parallel-in-run executor accelerates. This is the
-//! scaling workload for the `WISYNC_SHARDS` perf cases.
+//! boundary produces a same-cycle `Resume` for every core. `mac_lab`
+//! uses it as its compute-heavy, sparse-traffic workload.
 
 use wisync_core::{Machine, Pid};
 use wisync_isa::{Instr, ProgramBuilder, Reg};
@@ -221,23 +220,5 @@ mod tests {
         assert_eq!(w.expected(0), 13);
         // tid 1: 0*3+2=2, 2*3+2=8, 8*3+2=26.
         assert_eq!(w.expected(1), 26);
-    }
-
-    #[test]
-    fn sharded_run_matches_serial() {
-        let run = |shards: usize| {
-            let mut m = Machine::new(
-                MachineConfig::wisync(8)
-                    .with_shards(shards)
-                    .with_shard_threads(Some(if shards > 1 { 2 } else { 0 })),
-            );
-            let cycles = AluPhases {
-                phases: 2,
-                work: 512,
-            }
-            .run_cycles(&mut m, 100_000_000);
-            (cycles, format!("{:?}", m.stats()))
-        };
-        assert_eq!(run(1), run(4), "sharded AluPhases diverged");
     }
 }

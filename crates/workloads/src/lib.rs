@@ -1,8 +1,8 @@
 //! Workloads for the WiSync evaluation (Table 3).
 //!
 //! - [`TightLoop`] — the barrier microbenchmark of §6 / Figure 7,
-//! - [`AluPhases`] — a compute-heavy phased loop used to measure the
-//!   sharded executor's scaling (`WISYNC_SHARDS`),
+//! - [`AluPhases`] — a compute-heavy phased loop with a barrier per
+//!   phase,
 //! - [`Livermore`] — parallelized Livermore loops 2, 3, and 6 (Figure 8),
 //! - [`CasKernel`] — the FIFO/LIFO/ADD lock-free CAS kernels (Figure 9),
 //! - [`apps`] — synthetic synchronization profiles standing in for the

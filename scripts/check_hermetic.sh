@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Fails if any crate in the workspace declares a dependency that is not an
-# in-repo path dependency. The build environment has no network access to
+# in-repo path dependency, or does not inherit the workspace lints. The build environment has no network access to
 # a crates.io registry, so a registry dependency would break the build for
 # everyone — this check turns it into a reviewable one-line failure.
 set -euo pipefail
@@ -32,6 +32,20 @@ for m in "${manifests[@]}"; do
     done <<< "$deps"
 done
 
+# Every manifest inherits the workspace lint table (which forbids
+# `unsafe` code), so a new crate cannot opt out by omission.
+for m in "${manifests[@]}"; do
+    if ! awk '
+        /^\[lints\]/ { in_lints = 1; next }
+        /^\[/         { in_lints = 0 }
+        in_lints && /^workspace *= *true/ { found = 1 }
+        END { exit !found }
+    ' "$m"; then
+        echo "error: $m lacks the workspace lint opt-in ([lints] workspace = true)" >&2
+        fail=1
+    fi
+done
+
 # Belt and braces: the historical failure mode was versioned registry
 # deps for rand/proptest/criterion sneaking back in.
 if grep -rEn '^(rand|proptest|criterion) *=' Cargo.toml crates/*/Cargo.toml; then
@@ -49,4 +63,4 @@ fi
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "hermetic check passed: all dependencies are in-repo path crates"
+echo "hermetic check passed: all dependencies are in-repo path crates; every manifest inherits the workspace lints"
