@@ -3,13 +3,12 @@
 //!
 //! Each `figN`/`tableN` function runs the corresponding experiment and
 //! returns structured rows; the `src/bin/` binaries print them in the
-//! paper's format, and `benches/` runs scaled-down versions under
-//! Criterion so `cargo bench` exercises every experiment.
+//! paper's format, and `benches/` runs scaled-down versions on the
+//! `wisync-testkit` harness so `cargo bench` exercises every experiment.
 
 pub mod chaos;
 pub mod grid;
 pub mod mac_lab;
-pub mod perf;
 pub mod report;
 pub mod serve_metrics;
 

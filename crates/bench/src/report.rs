@@ -630,8 +630,8 @@ pub fn obs_overhead_ns(reps: u32) -> (u64, u64) {
 /// straight through it), not a precision measurement: single-digit
 /// percentage ratios of ~100ms wall-clock runs swing by several points
 /// with host load, even best-of-N interleaved. Fine-grained drift is
-/// tracked instead by the `obs_overhead_pct` history series that
-/// `perf` appends to `results/perf_baseline.json` on every run.
+/// visible instead as the benchmark's traced `obs.overhead_pct` on its
+/// `lossy_mac_obs` workload (`perfbench/README.md`).
 pub const OVERHEAD_BUDGET_PCT: f64 = 25.0;
 
 /// Overhead of `on_ns` over `off_ns` in percent (negative when the

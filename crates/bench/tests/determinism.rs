@@ -7,12 +7,12 @@
 //! tests re-run representative experiments twice in-process and compare
 //! complete fingerprints (final cycle + the full `Debug` rendering of
 //! `MachineStats`, which covers every substrate counter including
-//! `sim_events`).
+//! `sim_events`, or its `Display` table for the compute inputs).
 
 use wisync_bench::BUDGET;
 use wisync_core::{Machine, MachineConfig, MachineKind};
 use wisync_testkit::{run_sweep, run_sweep_timed, Json, SweepJob};
-use wisync_workloads::{CasKernel, CasKind, TightLoop};
+use wisync_workloads::{AppProfile, AppWorkload, CasKernel, CasKind, Livermore, TightLoop};
 
 /// Runs the Figure 7 experiment (TightLoop) on one architecture and
 /// returns a complete fingerprint of the run.
@@ -58,6 +58,41 @@ fn cas_kernel_repeats_exactly() {
     let b = cas_fingerprint();
     assert_eq!(a, b, "CAS kernel run diverged");
     assert!(a.1 > 0, "kernel completed no operations");
+}
+
+/// Loads and runs one input to completion, returning simulated cycles.
+type Run = fn(&mut Machine) -> u64;
+
+/// Runs one compute-heavy input on a 16-core machine and returns its
+/// simulated cycles, its event count and the rendered statistics.
+fn compute_fingerprint(kind: MachineKind, run: Run) -> (u64, u64, String) {
+    let mut m = Machine::new(MachineConfig::for_kind(kind, 16));
+    let cycles = run(&mut m);
+    (cycles, m.stats().sim_events, m.stats().to_string())
+}
+
+/// Livermore loop 3 (straight-line ALU/load runs between reductions)
+/// and a Figure 10 application profile (compute phases, lock handoffs
+/// and barrier episodes) repeat exactly on both sync paths.
+#[test]
+fn compute_and_app_runs_repeat_exactly() {
+    let inputs: [(&str, Run); 2] = [
+        ("livermore3_n4096", |m| {
+            Livermore::loop3(4096, 8).run_cycles(m, BUDGET)
+        }),
+        ("streamcluster", |m| {
+            let profile = AppProfile::by_name("streamcluster").expect("profile exists");
+            AppWorkload::new(profile).run_cycles(m, BUDGET)
+        }),
+    ];
+    for (name, run) in inputs {
+        for kind in [MachineKind::Baseline, MachineKind::WiSync] {
+            let a = compute_fingerprint(kind, run);
+            let b = compute_fingerprint(kind, run);
+            assert_eq!(a, b, "{name} diverged on {kind:?}");
+            assert!(a.0 > 0 && a.1 > 0, "{name} on {kind:?} simulated nothing");
+        }
+    }
 }
 
 /// A miniature sweep whose jobs run real machines: rendered output must

@@ -18,8 +18,8 @@ pub struct MachineStats {
     /// `cycles` instructions).
     pub instructions: u64,
     /// Discrete events dispatched by the engine's event loop — the
-    /// denominator of the events/sec throughput metric tracked in
-    /// `results/perf_baseline.json`.
+    /// numerator of the benchmark's `sim_events_per_s` metric
+    /// (`perfbench/README.md`).
     pub sim_events: u64,
     /// BM words read locally.
     pub bm_loads: u64,

@@ -401,7 +401,7 @@ impl Parser<'_> {
 
 /// Writes a rendered document, creating parent directories, and prints
 /// the `wrote <path>` line every bench/serve binary emits. The one
-/// file-writing path shared by `sweep`, `perf`, `report`, and `serve`.
+/// file-writing path shared by `sweep`, `mac_lab`, `report`, and `serve`.
 pub fn write_doc(path: impl AsRef<Path>, doc: &str) {
     let path = path.as_ref();
     if let Some(dir) = path.parent() {
