@@ -21,8 +21,6 @@
 //! invocations produce byte-identical JSON. `WISYNC_QUICK=1` (or
 //! `--quick`) shrinks the matrix for CI smoke runs.
 
-use std::collections::BTreeMap;
-
 use wisync_bench::chaos::{
     burst_schedule, dropout_schedule, escape_schedule, run_chaos, tone_schedule, uniform_schedule,
     ChaosKernel, ChaosReport, SOAK_BERS,
@@ -277,18 +275,6 @@ fn build_jobs(quick: bool) -> Vec<SweepJob> {
     jobs
 }
 
-/// True if the row object carries `"ok": false`.
-fn row_violates(entry: &Json) -> bool {
-    let Json::Obj(fields) = entry else {
-        return false;
-    };
-    let Some(Json::Obj(data)) = fields.iter().find(|(k, _)| k == "data").map(|(_, v)| v) else {
-        return false;
-    };
-    data.iter()
-        .any(|(k, v)| k == "ok" && matches!(v, Json::Bool(false)))
-}
-
 fn main() {
     let opts = parse_args();
     if opts.stats {
@@ -308,30 +294,26 @@ fn main() {
     );
     let timed = run_sweep_timed(jobs, opts.threads, opts.seed);
 
-    let mut by_figure: BTreeMap<String, Vec<Json>> = BTreeMap::new();
-    let mut violations: Vec<String> = Vec::new();
-    for (index, (name, value, _elapsed)) in timed.into_iter().enumerate() {
-        let (figure, row) = name.split_once('/').expect("job names are figure/row");
-        let entry = Json::obj([
-            ("row", Json::Str(row.to_string())),
-            (
-                "seed",
-                Json::Str(format!("0x{:016x}", derive_seed(opts.seed, index as u64))),
-            ),
-            ("data", value),
-        ]);
-        if row_violates(&entry) {
-            violations.push(name.clone());
-        }
-        by_figure.entry(figure.to_string()).or_default().push(entry);
-    }
+    // A run whose result says `ok: false` diverged silently.
+    let violations: Vec<String> = timed
+        .iter()
+        .filter(|(_, value, _)| value.get("ok") == Some(&Json::Bool(false)))
+        .map(|(name, _, _)| name.clone())
+        .collect();
 
+    // Same shape (and non-default MAC stamp) as the sweep's figure
+    // documents, so a `WISYNC_MAC=token` chaos run can never be mistaken
+    // for the committed backoff artifacts.
+    let reports = wisync_bench::grid::figure_reports(
+        timed
+            .into_iter()
+            .enumerate()
+            .map(|(index, (name, value, _))| (index as u64, name, value)),
+        opts.seed,
+        opts.quick,
+    );
     std::fs::create_dir_all("results").expect("create results/");
-    for (figure, rows) in by_figure {
-        // Same shape (and non-default MAC stamp) as the sweep's figure
-        // documents, so a `WISYNC_MAC=token` chaos run can never be
-        // mistaken for the committed backoff artifacts.
-        let report = wisync_bench::grid::figure_report(&figure, opts.seed, opts.quick, rows);
+    for (figure, report) in reports {
         let path = format!("results/{figure}.json");
         std::fs::write(&path, report.render()).expect("write figure json");
         println!("wrote {path}");

@@ -123,14 +123,12 @@ fn main() {
         if value.get("ok") == Some(&Json::Bool(false)) {
             violations.push(name.clone());
         }
-        rows.push(Json::obj([
-            ("row", Json::Str(row.to_string())),
-            (
-                "seed",
-                Json::Str(format!("0x{:016x}", derive_seed(opts.seed, index as u64))),
-            ),
-            ("data", value.clone()),
-        ]));
+        rows.push(wisync_bench::grid::job_row(
+            opts.seed,
+            index as u64,
+            row,
+            value.clone(),
+        ));
         data_rows.push(value);
     }
 

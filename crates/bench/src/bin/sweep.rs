@@ -1,5 +1,6 @@
 //! Parallel experiment sweep: regenerates every paper table/figure
-//! concurrently and writes deterministic JSON into `results/`.
+//! concurrently and writes deterministic JSON into `results/`, plus the
+//! same rows rendered as the paper-style text table next to each file.
 //!
 //! ```text
 //! cargo run --release -p wisync-bench --bin sweep -- [--seed N] [--threads N] [--quick] [--out DIR]
@@ -16,9 +17,9 @@
 //! a `wisync-testkit` sweep pool. Jobs receive seeds derived from the
 //! base seed and their grid index, results come back in job order, and
 //! floats render deterministically — so two runs with the same `--seed`
-//! produce byte-identical `results/*.json`, regardless of thread count
-//! or OS scheduling. `WISYNC_QUICK=1` (or `--quick`) shrinks the grid
-//! for CI smoke runs.
+//! produce byte-identical `results/*.json` and `results/*.txt`,
+//! regardless of thread count or OS scheduling. `WISYNC_QUICK=1` (or
+//! `--quick`) shrinks the grid for CI smoke runs.
 
 use wisync_bench::grid;
 use wisync_testkit::{run_sweep_timed, sweep, write_doc};
@@ -29,7 +30,7 @@ struct Options {
     quick: bool,
     stats: bool,
     profile: Option<String>,
-    /// Output directory for the rendered JSON (default `results/`), so
+    /// Output directory for the rendered files (default `results/`), so
     /// CI smoke runs can regenerate-and-compare without mutating the
     /// committed tree.
     out: String,
@@ -74,7 +75,7 @@ fn print_representative_stats(quick: bool) {
     use wisync_core::{Machine, MachineConfig};
     use wisync_workloads::TightLoop;
 
-    let cores = if quick { 16 } else { 64 };
+    let cores = grid::grid_cores(quick);
     let mut m = Machine::new(MachineConfig::wisync(cores));
     TightLoop::new(if quick { 4 } else { 20 }).run_cycles_per_iter(&mut m, wisync_bench::BUDGET);
     eprintln!("fig7 representative run (WiSync, {cores} cores) machine statistics:");
@@ -117,25 +118,20 @@ fn main() {
         eprintln!("  {:>9.3}s  {name}", elapsed.as_secs_f64());
     }
 
-    // Group rows into one JSON file per figure, preserving job order.
-    let mut by_figure = grid::group_rows(
+    // One JSON document and one text table per figure, rows in job
+    // order; Table 5 is projected from the fig10 rows, not re-run.
+    let reports = grid::figure_reports(
         timed
             .into_iter()
             .enumerate()
             .map(|(index, (name, value, _elapsed))| (index as u64, name, value)),
         opts.seed,
+        opts.quick,
     );
-
-    // Table 5 (per-app Data-channel utilization + geomean) is a
-    // projection of the fig10 runs: derive it from the job outputs
-    // instead of re-running every application.
-    if let Some(fig10_rows) = by_figure.get("fig10") {
-        by_figure.insert("table5".to_string(), grid::derive_table5(fig10_rows));
-    }
-
-    for (figure, rows) in by_figure {
-        let report = grid::figure_report(&figure, opts.seed, opts.quick, rows);
-        write_doc(format!("{}/{figure}.json", opts.out), &report.render());
+    for (figure, report) in reports {
+        let path = format!("{}/{figure}", opts.out);
+        write_doc(format!("{path}.json"), &report.render());
+        write_doc(format!("{path}.txt"), &grid::figure_text(&report));
     }
 
     // `--profile <job>`: re-run one grid job with full observability and

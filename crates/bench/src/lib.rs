@@ -1,10 +1,11 @@
 //! Shared harness code for regenerating every table and figure of the
 //! WiSync paper (see DESIGN.md §4 for the experiment index).
 //!
-//! Each `figN`/`tableN` function runs the corresponding experiment and
-//! returns structured rows; the `src/bin/` binaries print them in the
-//! paper's format, and `benches/` runs scaled-down versions on the
-//! `wisync-testkit` harness so `cargo bench` exercises every experiment.
+//! Each `figN` function runs one point of the corresponding experiment
+//! and returns its raw numbers. [`grid`] turns them into the sweep's
+//! jobs and is the only producer of the paper figures: the `sweep`
+//! binary writes each figure as `results/<figure>.json` and renders the
+//! same rows as the paper-style `results/<figure>.txt`.
 
 pub mod chaos;
 pub mod grid;
@@ -23,9 +24,20 @@ pub use wisync_wireless::phys;
 /// it indicate a bug, not a slow workload).
 pub const BUDGET: u64 = 2_000_000_000_000;
 
-/// The four architectures in the paper's comparison order.
-pub fn kinds() -> [MachineKind; 4] {
-    MachineKind::all()
+/// A Table 6 configuration variant, applied to a base config.
+pub type Variant = fn(MachineConfig) -> MachineConfig;
+
+/// Runs `run` on a fresh machine of each architecture at `cores` cores
+/// under `variant`, in [`MachineKind::all`] order.
+fn on_each_kind<T>(
+    cores: usize,
+    variant: Variant,
+    mut run: impl FnMut(&mut Machine) -> T,
+) -> [T; 4] {
+    MachineKind::all().map(|kind| {
+        let config = variant(MachineConfig::for_kind(kind, cores));
+        run(&mut Machine::new(config))
+    })
 }
 
 // --- Figure 7 -----------------------------------------------------------
@@ -33,12 +45,11 @@ pub fn kinds() -> [MachineKind; 4] {
 /// One Figure 7 row: TightLoop cycles/iteration for every architecture
 /// at `cores` cores.
 pub fn fig7_row(cores: usize, iters: u64) -> [u64; 4] {
-    let mut out = [0u64; 4];
-    for (i, kind) in kinds().iter().enumerate() {
-        let mut m = Machine::new(MachineConfig::for_kind(*kind, cores));
-        out[i] = TightLoop::new(iters).run_cycles_per_iter(&mut m, BUDGET);
-    }
-    out
+    on_each_kind(
+        cores,
+        |c| c,
+        |m| TightLoop::new(iters).run_cycles_per_iter(m, BUDGET),
+    )
 }
 
 /// The paper's Figure 7 core-count sweep.
@@ -67,12 +78,7 @@ pub fn fig8_point(which: LivermoreLoop, n: u64, cores: usize) -> [u64; 4] {
         LivermoreLoop::Loop3 => Livermore::loop3(n, 10),
         LivermoreLoop::Loop6 => Livermore::loop6(n),
     };
-    let mut out = [0u64; 4];
-    for (i, kind) in kinds().iter().enumerate() {
-        let mut m = Machine::new(MachineConfig::for_kind(*kind, cores));
-        out[i] = wl.run_cycles(&mut m, BUDGET);
-    }
-    out
+    on_each_kind(cores, |c| c, |m| wl.run_cycles(m, BUDGET))
 }
 
 // --- Figure 9 -----------------------------------------------------------
@@ -116,7 +122,7 @@ pub fn fig9_point(kind: CasKind, w: u64, cores: usize) -> [f64; 2] {
 pub struct AppResult {
     /// Application name.
     pub name: &'static str,
-    /// Cycles on each architecture, in [`kinds`] order.
+    /// Cycles on each architecture, in [`MachineKind::all`] order.
     pub cycles: [u64; 4],
     /// Data-channel utilization (fraction) on WiSyncNoT and WiSync —
     /// Table 5's "WT" and "W" columns.
@@ -130,43 +136,18 @@ impl AppResult {
     }
 }
 
-/// Runs one application profile on all four architectures.
-pub fn fig10_app(profile: AppProfile, cores: usize) -> AppResult {
-    let mut cycles = [0u64; 4];
-    let mut util = [0.0; 2];
-    for (i, kind) in kinds().iter().enumerate() {
-        let mut m = Machine::new(MachineConfig::for_kind(*kind, cores));
-        cycles[i] = AppWorkload::new(profile).run_cycles(&mut m, BUDGET);
-        if *kind == MachineKind::WiSyncNoT {
-            util[0] = m.stats().data_utilization;
-        } else if *kind == MachineKind::WiSync {
-            util[1] = m.stats().data_utilization;
-        }
-    }
+/// Runs one application profile on all four architectures under a
+/// Table 6 variant (`|c| c` for the default configuration).
+pub fn fig10_app(profile: AppProfile, cores: usize, variant: Variant) -> AppResult {
+    let runs = on_each_kind(cores, variant, |m| {
+        let cycles = AppWorkload::new(profile).run_cycles(m, BUDGET);
+        (cycles, m.stats().data_utilization)
+    });
     AppResult {
         name: profile.name,
-        cycles,
-        util,
+        cycles: runs.map(|(cycles, _)| cycles),
+        util: [runs[2].1, runs[3].1],
     }
-}
-
-/// Runs the full Figure 10 suite at `cores` cores.
-pub fn fig10_all(cores: usize) -> Vec<AppResult> {
-    AppProfile::all()
-        .into_iter()
-        .map(|p| fig10_app(p, cores))
-        .collect()
-}
-
-/// Arithmetic mean of the speedups of architecture `i` over Baseline.
-pub fn mean_speedup(results: &[AppResult], i: usize) -> f64 {
-    results.iter().map(|r| r.speedup(i)).sum::<f64>() / results.len() as f64
-}
-
-/// Geometric mean of the speedups of architecture `i` over Baseline.
-pub fn geomean_speedup(results: &[AppResult], i: usize) -> f64 {
-    let log_sum: f64 = results.iter().map(|r| r.speedup(i).ln()).sum();
-    (log_sum / results.len() as f64).exp()
 }
 
 /// Geometric mean of a set of utilization fractions, as in Table 5's GM
@@ -179,11 +160,8 @@ pub fn geomean_util(utils: impl Iterator<Item = f64>) -> f64 {
 
 // --- Figure 11 ------------------------------------------------------------
 
-/// A named Table 6 configuration variant.
-pub type ConfigVariant = (&'static str, fn(MachineConfig) -> MachineConfig);
-
-/// The Table 6 configuration variants by name, applied to a base config.
-pub fn fig11_variants() -> [ConfigVariant; 5] {
+/// The Table 6 configuration variants by name.
+pub fn fig11_variants() -> [(&'static str, Variant); 5] {
     [
         ("Default", |c| c),
         ("SlowNet", MachineConfig::slow_net),
@@ -196,40 +174,13 @@ pub fn fig11_variants() -> [ConfigVariant; 5] {
 /// Runs the application suite under one Table 6 variant and returns the
 /// geomean speedups over that variant's Baseline for (Baseline+,
 /// WiSyncNoT, WiSync).
-pub fn fig11_point(
-    variant: fn(MachineConfig) -> MachineConfig,
-    cores: usize,
-    apps: &[AppProfile],
-) -> [f64; 3] {
-    let mut per_kind_cycles: Vec<[u64; 4]> = Vec::new();
-    for profile in apps {
-        let mut cycles = [0u64; 4];
-        for (i, kind) in kinds().iter().enumerate() {
-            let cfg = variant(MachineConfig::for_kind(*kind, cores));
-            let mut m = Machine::new(cfg);
-            cycles[i] = AppWorkload::new(*profile).run_cycles(&mut m, BUDGET);
-        }
-        per_kind_cycles.push(cycles);
-    }
+pub fn fig11_point(variant: Variant, cores: usize, apps: &[AppProfile]) -> [f64; 3] {
+    let runs: Vec<AppResult> = apps.iter().map(|p| fig10_app(*p, cores, variant)).collect();
     let geo = |i: usize| {
-        let log_sum: f64 = per_kind_cycles
-            .iter()
-            .map(|c| (c[0] as f64 / c[i] as f64).ln())
-            .sum();
-        (log_sum / per_kind_cycles.len() as f64).exp()
+        let log_sum: f64 = runs.iter().map(|r| r.speedup(i).ln()).sum();
+        (log_sum / runs.len() as f64).exp()
     };
     [geo(1), geo(2), geo(3)]
-}
-
-// --- Formatting helpers -----------------------------------------------------
-
-/// Formats a cycle count compactly (e.g. `1.03e6`).
-pub fn sci(v: u64) -> String {
-    if v < 10_000 {
-        format!("{v}")
-    } else {
-        format!("{:.2e}", v as f64)
-    }
 }
 
 #[cfg(test)]
@@ -250,30 +201,9 @@ mod tests {
     }
 
     #[test]
-    fn geomeans_behave() {
-        let results = vec![
-            AppResult {
-                name: "a",
-                cycles: [100, 100, 50, 25],
-                util: [0.0, 0.0],
-            },
-            AppResult {
-                name: "b",
-                cycles: [100, 100, 100, 100],
-                util: [0.01, 0.02],
-            },
-        ];
-        let g = geomean_speedup(&results, 3);
-        assert!((g - 2.0).abs() < 1e-12, "sqrt(4*1) = {g}");
-        let m = mean_speedup(&results, 3);
-        assert!((m - 2.5).abs() < 1e-12);
-        assert!(geomean_util([0.01, 0.04].into_iter()) - 0.02 < 1e-12);
-    }
-
-    #[test]
-    fn sci_formats() {
-        assert_eq!(sci(123), "123");
-        assert_eq!(sci(1_030_000), "1.03e6");
+    fn geomean_util_floors_zeros() {
+        assert!((geomean_util([0.01, 0.04].into_iter()) - 0.02).abs() < 1e-12);
+        assert!((geomean_util([0.0, 1e-4].into_iter()) - 1e-4).abs() < 1e-12);
     }
 }
 

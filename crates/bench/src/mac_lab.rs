@@ -21,6 +21,7 @@ use wisync_wireless::{DataChannelStats, MacPolicy};
 use wisync_workloads::{AluPhases, CasKernel, CasKind, TightLoop};
 
 use crate::chaos::{AUDIT_PERIOD, CHAOS_BUDGET};
+use crate::grid::{field, int, num, text};
 
 /// Core count every lab cell runs at.
 pub const LAB_CORES: usize = 16;
@@ -297,34 +298,6 @@ pub fn lab_matrix(quick: bool) -> Vec<(MacPolicy, LabWorkload, f64)> {
     cells
 }
 
-/// Reads one field of a lab-cell data object, tolerating absence by
-/// returning the type's default rendering inputs.
-fn field<'a>(row: &'a Json, key: &str) -> &'a Json {
-    row.get(key).unwrap_or(&Json::Null)
-}
-
-fn field_u64(row: &Json, key: &str) -> u64 {
-    match field(row, key) {
-        Json::U64(n) => *n,
-        _ => 0,
-    }
-}
-
-fn field_str(row: &Json, key: &str) -> String {
-    match field(row, key) {
-        Json::Str(s) => s.clone(),
-        _ => String::new(),
-    }
-}
-
-fn field_f64(row: &Json, key: &str) -> f64 {
-    match field(row, key) {
-        Json::F64(f) => *f,
-        Json::U64(n) => *n as f64,
-        _ => 0.0,
-    }
-}
-
 /// Human-readable lab summary (the `mac_lab` binary's stdout, also
 /// committed as `results/mac_lab.txt`): per (workload, ber) the winning
 /// MAC by cycles, with the winner's hottest contended line cited from
@@ -352,8 +325,8 @@ pub fn render_lab_text(rows: &[Json]) -> String {
     for workload in LabWorkload::all() {
         let name = workload.to_string();
         let mut bers: Vec<f64> = Vec::new();
-        for r in rows.iter().filter(|r| field_str(r, "workload") == name) {
-            let ber = field_f64(r, "ber");
+        for r in rows.iter().filter(|r| text(r, "workload") == name) {
+            let ber = num(field(r, "ber"));
             if !bers.contains(&ber) {
                 bers.push(ber);
             }
@@ -361,14 +334,14 @@ pub fn render_lab_text(rows: &[Json]) -> String {
         for ber in bers {
             let group: Vec<&Json> = rows
                 .iter()
-                .filter(|r| field_str(r, "workload") == name && field_f64(r, "ber") == ber)
+                .filter(|r| text(r, "workload") == name && num(field(r, "ber")) == ber)
                 .collect();
             // Winner: fewest cycles among correct runs; ties break in
             // LAB_MACS order (rows are already in that order).
             let Some(win) = group
                 .iter()
                 .filter(|r| field(r, "correct") == &Json::Bool(true))
-                .min_by_key(|r| field_u64(r, "cycles"))
+                .min_by_key(|r| int(field(r, "cycles")))
                 .or_else(|| group.first())
             else {
                 continue;
@@ -378,9 +351,9 @@ pub fn render_lab_text(rows: &[Json]) -> String {
                     let l = &lines[0];
                     format!(
                         "{}: {}, {}",
-                        field_u64(l, "phys"),
-                        field_u64(l, "busy_cycles"),
-                        field_u64(l, "collisions")
+                        int(field(l, "phys")),
+                        int(field(l, "busy_cycles")),
+                        int(field(l, "collisions"))
                     )
                 }
                 _ => "none".to_string(),
@@ -394,11 +367,11 @@ pub fn render_lab_text(rows: &[Json]) -> String {
                 } else {
                     format!("{ber:.0e}")
                 },
-                field_str(win, "mac"),
-                field_u64(win, "cycles"),
-                field_u64(win, "collisions"),
-                field_u64(win, "mac_exhaustions"),
-                field_u64(win, "token_pass_cycles"),
+                text(win, "mac"),
+                int(field(win, "cycles")),
+                int(field(win, "collisions")),
+                int(field(win, "mac_exhaustions")),
+                int(field(win, "token_pass_cycles")),
             );
         }
     }

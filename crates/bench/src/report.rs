@@ -201,7 +201,7 @@ pub fn profile_named(workload: &str, cores: usize, iters: u64) -> Result<Profile
 /// Describes the expected `<figure>/<row>` shapes on unknown or
 /// unprofilable (analytic/derived) job names.
 pub fn profile_grid_job(job: &str, quick: bool) -> Result<ProfiledRun, String> {
-    let cores = if quick { 16 } else { 64 };
+    let cores = crate::grid::grid_cores(quick);
     let wisync = || Machine::new(MachineConfig::wisync(cores));
     let Some((figure, row)) = job.split_once('/') else {
         return Err(format!("job {job:?} is not of the form <figure>/<row>"));

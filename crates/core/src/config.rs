@@ -36,7 +36,7 @@ pub enum BmConsistency {
 /// The `WISYNC_EXEC` environment variable (`uop` or `reference`/`ref`)
 /// selects the default for configurations built through the named
 /// constructors, so whole binaries (sweeps, perf runs) can be A/B'd
-/// without code changes.
+/// without code changes; any other non-empty value is an error.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Decode programs to micro-ops at load; execute straight-line runs
@@ -47,15 +47,42 @@ pub enum ExecMode {
     Reference,
 }
 
+/// Every spelling [`ExecMode::parse`] accepts (in any case), as the
+/// error for an unknown `WISYNC_EXEC` value lists them.
+const EXEC_SPELLINGS: &str = "uop, default, reference, ref";
+
 impl ExecMode {
+    /// Parses a knob value (`uop`/`default` or `reference`/`ref`, in any
+    /// case), mirroring `MacPolicy::parse`; `None` for anything else.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "uop" | "default" => Some(ExecMode::Uop),
+            "reference" | "ref" => Some(ExecMode::Reference),
+            _ => None,
+        }
+    }
+
     /// The mode selected by the `WISYNC_EXEC` environment variable, or
-    /// [`ExecMode::Uop`] when unset or unrecognized.
+    /// [`ExecMode::Uop`] when it is unset or empty.
+    ///
+    /// # Panics
+    ///
+    /// On any value [`ExecMode::parse`] rejects: a typo must not run the
+    /// default silently.
     pub fn from_env() -> Self {
-        match std::env::var("WISYNC_EXEC") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") || v.eq_ignore_ascii_case("ref") => {
-                ExecMode::Reference
-            }
-            _ => ExecMode::Uop,
+        let value = std::env::var_os("WISYNC_EXEC").unwrap_or_default();
+        ExecMode::resolve(&value.to_string_lossy())
+    }
+
+    fn resolve(value: &str) -> Self {
+        match value.trim() {
+            "" => ExecMode::default(),
+            v => ExecMode::parse(v).unwrap_or_else(|| {
+                panic!(
+                    "WISYNC_EXEC={value:?} is not an exec mode (accepted: {EXEC_SPELLINGS}; \
+                        unset or empty means uop)"
+                )
+            }),
         }
     }
 }
@@ -331,6 +358,21 @@ mod tests {
         assert_eq!(ExecMode::Uop.to_string(), "uop");
         assert_eq!(ExecMode::Reference.to_string(), "reference");
         assert_eq!(ExecMode::default(), ExecMode::Uop);
+        // Every accepted alias, in any case and padding; unset or empty
+        // is the default only at the knob.
+        for name in EXEC_SPELLINGS.split(", ") {
+            let mode = ExecMode::parse(name).unwrap_or_else(|| panic!("{name}"));
+            let shouted = format!(" {} ", name.to_uppercase());
+            assert_eq!(ExecMode::resolve(&shouted), mode, "{shouted:?}");
+        }
+        assert_eq!(ExecMode::parse(""), None);
+        assert_eq!(ExecMode::resolve(""), ExecMode::Uop);
+    }
+
+    #[test]
+    #[should_panic(expected = "WISYNC_EXEC=\"refrence\" is not an exec mode (accepted: ")]
+    fn unknown_exec_mode_is_an_error() {
+        ExecMode::resolve("refrence");
     }
 
     #[test]

@@ -258,19 +258,18 @@ impl JobService {
             ));
         }
         let results = run_sweep_indexed(jobs, self.threads, spec.seed);
-        let mut by_figure = grid::group_rows(
+        let mut reports = grid::figure_reports(
             indices
                 .into_iter()
                 .zip(results)
                 .map(|(index, (name, value, _))| (index, name, value)),
             spec.seed,
+            spec.quick,
         );
-        let rows = if spec.figure == "table5" {
-            grid::derive_table5(&by_figure.remove("fig10").unwrap_or_default())
-        } else {
-            by_figure.remove(&spec.figure).unwrap_or_default()
-        };
-        grid::figure_report(&spec.figure, spec.seed, spec.quick, rows).render()
+        reports
+            .remove(&spec.figure)
+            .unwrap_or_else(|| grid::figure_report(&spec.figure, spec.seed, spec.quick, Vec::new()))
+            .render()
     }
 
     fn lock_metrics(&self) -> std::sync::MutexGuard<'_, ServiceMetrics> {

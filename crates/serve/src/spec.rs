@@ -4,16 +4,16 @@
 //! experiment grid to produce, under which base seed, at which grid
 //! scale. The service content-addresses every result by a digest over
 //! the *canonical* spec plus everything else that can change the bytes
-//! of the answer: the execution-mode knob (`WISYNC_EXEC` — the
+//! of the answer: the resolved execution-mode knob (`WISYNC_EXEC` — the
 //! determinism contract says it *shouldn't* change results, so keying
 //! on it turns any contract violation into a cache miss instead of a
-//! silently wrong cache hit), the MAC policy (`WISYNC_MAC` — which
+//! silently wrong cache hit), the resolved MAC policy (`WISYNC_MAC` — which
 //! *does* change result bytes away from the default backoff), and the
 //! code version. Two submissions that differ only in JSON whitespace or
 //! key order map to the same key; two that differ in any
 //! result-relevant knob never collide.
 
-use wisync_core::SNAPSHOT_VERSION;
+use wisync_core::{ExecMode, MacPolicy, SNAPSHOT_VERSION};
 use wisync_testkit::Json;
 
 /// Default base seed, matching the committed `results/*.json` sweeps.
@@ -94,30 +94,30 @@ impl JobSpec {
 
 /// The execution-environment half of the cache key: every knob outside
 /// the spec that is allowed to influence (or, under the determinism
-/// contract, is *supposed not* to influence) result bytes.
+/// contract, is *supposed not* to influence) result bytes. Both hold
+/// the *resolved* knob, so every spelling of one setting (unset,
+/// `backoff`, `Exp`, ...) shares one cache entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecKnobs {
-    /// `WISYNC_EXEC` (uop/reference), or `"default"` when unset.
+    /// The resolved `WISYNC_EXEC` mode (`uop` or `reference`).
     pub exec: String,
-    /// `WISYNC_MAC` (the Data channel medium-access policy — *does*
-    /// change result bytes for any value other than the default
-    /// backoff), or `"default"` when unset.
+    /// The resolved `WISYNC_MAC` label (the Data channel medium-access
+    /// policy — *does* change result bytes for any value other than
+    /// the default `backoff`).
     pub mac: String,
 }
 
 impl ExecKnobs {
-    /// Reads the knobs the way `MachineConfig::from_env` will when the
-    /// jobs actually run.
+    /// Resolves the knobs exactly as `MachineConfig` will when the jobs
+    /// actually run.
+    ///
+    /// # Panics
+    ///
+    /// On an unknown `WISYNC_EXEC` or `WISYNC_MAC` value.
     pub fn from_env() -> ExecKnobs {
-        let env = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .filter(|v| !v.is_empty())
-                .unwrap_or_else(|| "default".to_string())
-        };
         ExecKnobs {
-            exec: env("WISYNC_EXEC"),
-            mac: env("WISYNC_MAC"),
+            exec: ExecMode::from_env().to_string(),
+            mac: MacPolicy::from_env().label().to_string(),
         }
     }
 }
@@ -152,11 +152,19 @@ pub fn key_hex(key: u128) -> String {
 mod tests {
     use super::*;
 
-    fn knobs() -> ExecKnobs {
+    /// The knobs `WISYNC_EXEC=exec WISYNC_MAC=mac` resolve to.
+    fn resolved(exec: &str, mac: &str) -> ExecKnobs {
         ExecKnobs {
-            exec: "default".to_string(),
-            mac: "default".to_string(),
+            exec: ExecMode::parse(exec).expect("exec mode").to_string(),
+            mac: MacPolicy::parse(mac)
+                .expect("MAC policy")
+                .label()
+                .to_string(),
         }
+    }
+
+    fn knobs() -> ExecKnobs {
+        resolved("uop", "backoff")
     }
 
     #[test]
@@ -220,6 +228,18 @@ mod tests {
         assert_ne!(base, token_key);
         k.mac = "hybrid".to_string();
         assert_ne!(token_key, cache_key(&spec, &k));
+
+        // Keys are built from resolved knobs: every spelling of one
+        // setting (an unset knob resolves to `uop`/`backoff`) shares a
+        // key, and distinct policies still differ.
+        let key = |exec: &str, mac: &str| cache_key(&spec, &resolved(exec, mac));
+        assert_eq!(key("default", "default"), base);
+        assert_eq!(key("UOP", "Exp"), base);
+        assert_eq!(key("uop", "Token"), token_key);
+        assert_eq!(key("default", "token-ring"), token_key);
+        assert_ne!(key("ref", "backoff"), base);
+        assert_ne!(key("uop", "reactive"), base);
+        assert_ne!(key("uop", "reactive"), token_key);
     }
 
     #[test]

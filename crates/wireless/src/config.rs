@@ -31,6 +31,11 @@ pub enum MacPolicy {
     AdaptiveHybrid,
 }
 
+/// Every spelling [`MacPolicy::parse`] accepts (in any case), as the
+/// error for an unknown `WISYNC_MAC` value lists them.
+const MAC_SPELLINGS: &str = "backoff, exp, exponential, default, reactive, token, tokenring, \
+                             token-ring, token_ring, hybrid, adaptive, adaptivehybrid";
+
 impl MacPolicy {
     /// Stable lowercase label, used in result stamps, cache keys, and
     /// the `WISYNC_MAC` knob.
@@ -57,15 +62,29 @@ impl MacPolicy {
         }
     }
 
-    /// Reads the `WISYNC_MAC` environment knob. Unset, empty, or
-    /// unrecognized values fall back to the paper's exponential backoff
-    /// (the same forgiving shape as `WISYNC_EXEC`), so existing
-    /// invocations and committed results are unaffected.
+    /// Reads the `WISYNC_MAC` environment knob. Unset or empty means
+    /// the paper's exponential backoff, so existing invocations and
+    /// committed results are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// On any value [`MacPolicy::parse`] rejects: a typo must not run
+    /// the default silently.
     pub fn from_env() -> Self {
-        std::env::var("WISYNC_MAC")
-            .ok()
-            .and_then(|v| MacPolicy::parse(&v))
-            .unwrap_or_default()
+        let value = std::env::var_os("WISYNC_MAC").unwrap_or_default();
+        MacPolicy::resolve(&value.to_string_lossy())
+    }
+
+    fn resolve(value: &str) -> Self {
+        match value.trim() {
+            "" => MacPolicy::default(),
+            v => MacPolicy::parse(v).unwrap_or_else(|| {
+                panic!(
+                    "WISYNC_MAC={value:?} is not a MAC policy (accepted: {MAC_SPELLINGS}; unset \
+                        or empty means backoff)"
+                )
+            }),
+        }
     }
 
     /// All selectable policies, in stamp order.
@@ -182,5 +201,20 @@ mod tests {
         );
         assert_eq!(MacPolicy::parse("nonsense"), None);
         assert_eq!(MacPolicy::default(), MacPolicy::Exponential);
+        // Every accepted alias, in any case and padding; unset or empty
+        // is the default only at the knob.
+        for name in MAC_SPELLINGS.split(", ") {
+            let policy = MacPolicy::parse(name).unwrap_or_else(|| panic!("{name}"));
+            let shouted = format!(" {} ", name.to_uppercase());
+            assert_eq!(MacPolicy::resolve(&shouted), policy, "{shouted:?}");
+        }
+        assert_eq!(MacPolicy::parse(""), None);
+        assert_eq!(MacPolicy::resolve(""), MacPolicy::Exponential);
+    }
+
+    #[test]
+    #[should_panic(expected = "WISYNC_MAC=\"tokn\" is not a MAC policy (accepted: ")]
+    fn unknown_mac_policy_is_an_error() {
+        MacPolicy::resolve("tokn");
     }
 }
