@@ -18,8 +18,8 @@
 //!
 //! Exits non-zero if any run violates the contract. Deterministic for
 //! a fixed `--seed`: the fault-plan seeds are derived per job, so two
-//! invocations produce byte-identical JSON. `WISYNC_QUICK=1` (or
-//! `--quick`) shrinks the matrix for CI smoke runs.
+//! invocations produce byte-identical JSON. `--quick` shrinks the
+//! matrix for CI smoke runs.
 
 use wisync_bench::chaos::{
     burst_schedule, dropout_schedule, escape_schedule, run_chaos, tone_schedule, uniform_schedule,
@@ -41,7 +41,7 @@ fn parse_args() -> Options {
     let mut opts = Options {
         seed: 0xC4A05,
         threads: sweep::default_threads(),
-        quick: std::env::var_os("WISYNC_QUICK").is_some(),
+        quick: false,
         stats: false,
     };
     let mut args = std::env::args().skip(1);
@@ -276,6 +276,7 @@ fn build_jobs(quick: bool) -> Vec<SweepJob> {
 }
 
 fn main() {
+    wisync_bench::exit_on_stray_knob();
     let opts = parse_args();
     if opts.stats {
         print_representative_stats(opts.seed);
@@ -301,9 +302,8 @@ fn main() {
         .map(|(name, _, _)| name.clone())
         .collect();
 
-    // Same shape (and non-default MAC stamp) as the sweep's figure
-    // documents, so a `WISYNC_MAC=token` chaos run can never be mistaken
-    // for the committed backoff artifacts.
+    // Same document shape as the sweep's figures, stamped with the
+    // grid size, so a quick run can never pass for the committed one.
     let reports = wisync_bench::grid::figure_reports(
         timed
             .into_iter()

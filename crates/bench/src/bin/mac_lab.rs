@@ -37,7 +37,7 @@ fn parse_args() -> Options {
     let mut opts = Options {
         seed: 0xACCE55,
         threads: sweep::default_threads(),
-        quick: std::env::var_os("WISYNC_QUICK").is_some(),
+        quick: false,
         conformance: false,
         out: "results".to_string(),
     };
@@ -87,6 +87,7 @@ fn conformance_failures(base_seed: u64) -> Vec<String> {
 }
 
 fn main() {
+    wisync_bench::exit_on_stray_knob();
     let opts = parse_args();
     let matrix = lab_matrix(opts.quick);
     let total = matrix.len();

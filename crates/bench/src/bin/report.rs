@@ -75,7 +75,7 @@ fn parse_args() -> Options {
         syncs: false,
         syncs_out: None,
         obs_overhead: false,
-        quick: std::env::var_os("WISYNC_QUICK").is_some(),
+        quick: false,
         service: None,
     };
     let mut args = std::env::args().skip(1);
@@ -143,6 +143,7 @@ fn default_out(opts: &Options) -> PathBuf {
 }
 
 fn main() -> ExitCode {
+    wisync_bench::exit_on_stray_knob();
     let opts = parse_args();
 
     // `--service <metrics.json>`: print the wisync-serve utilization

@@ -18,8 +18,8 @@
 //! base seed and their grid index, results come back in job order, and
 //! floats render deterministically — so two runs with the same `--seed`
 //! produce byte-identical `results/*.json` and `results/*.txt`,
-//! regardless of thread count or OS scheduling. `WISYNC_QUICK=1` (or
-//! `--quick`) shrinks the grid for CI smoke runs.
+//! regardless of thread count or OS scheduling. `--quick` shrinks the
+//! grid for CI smoke runs.
 
 use wisync_bench::grid;
 use wisync_testkit::{run_sweep_timed, sweep, write_doc};
@@ -40,7 +40,7 @@ fn parse_args() -> Options {
     let mut opts = Options {
         seed: 0xC0DE,
         threads: sweep::default_threads(),
-        quick: std::env::var_os("WISYNC_QUICK").is_some(),
+        quick: false,
         stats: false,
         profile: None,
         out: "results".to_string(),
@@ -83,6 +83,7 @@ fn print_representative_stats(quick: bool) {
 }
 
 fn main() {
+    wisync_bench::exit_on_stray_knob();
     let opts = parse_args();
     if opts.stats {
         print_representative_stats(opts.quick);

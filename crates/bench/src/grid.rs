@@ -283,31 +283,21 @@ fn derive_table5(fig10_rows: &[Json]) -> Vec<Json> {
 }
 
 /// The document written to `results/<figure>.json`: figure name, base
-/// seed, grid size, and the rows. When the ambient `WISYNC_MAC` selects
-/// a non-default MAC policy the document is stamped with it — the rows
-/// genuinely differ from the committed (backoff) artifacts, and the
-/// stamp keeps such a file from ever byte-matching or being mistaken
-/// for them. Under the default policy no stamp is emitted, so default
-/// runs stay byte-identical to the committed results.
+/// seed, grid size, and the rows.
 pub fn figure_report(figure: &str, base_seed: u64, quick: bool, rows: Vec<Json>) -> Json {
-    let mut fields = vec![
+    Json::obj(vec![
         ("figure", Json::Str(figure.to_string())),
         ("base_seed", Json::U64(base_seed)),
         ("quick", Json::Bool(quick)),
-    ];
-    let mac = wisync_wireless::MacPolicy::from_env();
-    if mac != wisync_wireless::MacPolicy::Exponential {
-        fields.push(("mac", Json::Str(mac.to_string())));
-    }
-    fields.push(("rows", Json::Arr(rows)));
-    Json::obj(fields)
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 /// Renders a figure document, as [`figure_report`] builds it or as
 /// parsed back from `results/<figure>.json`, as the paper-style text
-/// table `sweep` writes to `results/<figure>.txt`. Quick-grid and
-/// non-default-MAC documents open with a line saying so, so such a table
-/// cannot pass for a committed one.
+/// table `sweep` writes to `results/<figure>.txt`. A quick-grid document
+/// opens with a line saying so, so such a table cannot pass for a
+/// committed one.
 ///
 /// # Panics
 ///
@@ -331,13 +321,7 @@ pub fn figure_text(doc: &Json) -> String {
     };
     let mut out = String::new();
     if quick {
-        out += "Quick grid: fewer rows and cores than the paper.\n";
-    }
-    if let Some(Json::Str(mac)) = doc.get("mac") {
-        out += &format!("MAC policy: {mac} (not the paper's backoff).\n");
-    }
-    if !out.is_empty() {
-        out += "\n";
+        out += "Quick grid: fewer rows and cores than the paper.\n\n";
     }
     let archs = ["Baseline", "Baseline+", "WiSyncNoT", "WiSync"];
     let claims = match figure {
@@ -659,18 +643,16 @@ mod tests {
     }
 
     #[test]
-    fn text_tables_carry_quick_and_mac_stamps() {
+    fn text_tables_carry_the_quick_stamp() {
         let Json::Obj(mut fields) = committed_doc("fig7") else {
             panic!("fig7.json is not an object")
         };
         // `Json::get` resolves a repeated key to its last occurrence.
         fields.push(("quick".to_string(), Json::Bool(true)));
-        fields.push(("mac".to_string(), Json::Str("token".to_string())));
-        let stamps = "Quick grid: fewer rows and cores than the paper.\n\
-                      MAC policy: token (not the paper's backoff).\n\n";
+        let stamp = "Quick grid: fewer rows and cores than the paper.\n\n";
         assert_eq!(
             figure_text(&Json::Obj(fields)),
-            stamps.to_string() + &committed("fig7.txt")
+            stamp.to_string() + &committed("fig7.txt")
         );
     }
 

@@ -40,6 +40,57 @@ fn on_each_kind<T>(
     })
 }
 
+// --- Environment guard ---------------------------------------------------
+
+/// The one environment variable any program here reads: the testkit's
+/// property-test seed replay.
+const SEED_REPLAY: &str = "WISYNC_TESTKIT_SEED";
+
+/// Retired environment knobs and what replaced each.
+const RETIRED_KNOBS: [(&str, &str); 3] = [
+    ("WISYNC_QUICK", "pass --quick"),
+    (
+        "WISYNC_MAC",
+        "pick the MAC in code with MachineConfig::with_mac, or compare MACs with mac_lab",
+    ),
+    (
+        "WISYNC_EXEC",
+        "pick the interpreter in code with MachineConfig::with_exec",
+    ),
+];
+
+/// The error for the first `WISYNC_*` variable in `vars` other than
+/// the seed replay, naming it and what to use instead; `None` when
+/// there is none. Configuration lives in code and flags, so a set knob
+/// would otherwise be ignored silently.
+pub fn stray_knob(vars: impl IntoIterator<Item = (String, String)>) -> Option<String> {
+    let knob = vars
+        .into_iter()
+        .map(|(k, _)| k)
+        .filter(|k| k.starts_with("WISYNC_") && k != SEED_REPLAY)
+        .min()?;
+    let instead = RETIRED_KNOBS
+        .iter()
+        .find(|(name, _)| *name == knob)
+        .map_or("no environment variable configures a run", |(_, r)| r);
+    Some(format!("{knob} is set, but it is not read: {instead}"))
+}
+
+/// Exits with status 2 when [`stray_knob`] finds one in this process's
+/// environment. Every binary calls it first.
+pub fn exit_on_stray_knob() {
+    let vars = std::env::vars_os().map(|(k, v)| {
+        (
+            k.to_string_lossy().into_owned(),
+            v.to_string_lossy().into_owned(),
+        )
+    });
+    if let Some(error) = stray_knob(vars) {
+        eprintln!("error: {error}");
+        std::process::exit(2);
+    }
+}
+
 // --- Figure 7 -----------------------------------------------------------
 
 /// One Figure 7 row: TightLoop cycles/iteration for every architecture
@@ -187,6 +238,35 @@ pub fn fig11_point(variant: Variant, cores: usize, apps: &[AppProfile]) -> [f64;
 mod tests {
     use super::*;
 
+    fn vars(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn stray_knob_names_the_variable_and_its_replacement() {
+        assert_eq!(stray_knob(vars(&[("PATH", "/bin")])), None);
+        assert_eq!(stray_knob(vars(&[("WISYNC_TESTKIT_SEED", "0x1")])), None);
+        let error = |pairs| stray_knob(vars(pairs)).expect("a stray knob");
+        assert_eq!(
+            error(&[("WISYNC_QUICK", "1")]),
+            "WISYNC_QUICK is set, but it is not read: pass --quick"
+        );
+        assert!(error(&[("WISYNC_MAC", "token")]).contains("with_mac"));
+        assert!(error(&[("WISYNC_MAC", "token")]).contains("mac_lab"));
+        assert!(error(&[("WISYNC_EXEC", "reference")]).contains("with_exec"));
+        assert!(error(&[("WISYNC_SHARDS", "4")]).starts_with("WISYNC_SHARDS is set"));
+        // The first in name order, whatever the environment's order.
+        assert!(error(&[
+            ("WISYNC_TESTKIT_SEED", "1"),
+            ("WISYNC_QUICK", ""),
+            ("WISYNC_EXEC", "")
+        ])
+        .starts_with("WISYNC_EXEC "));
+    }
+
     #[test]
     fn fig7_row_has_expected_ordering() {
         let row = fig7_row(16, 4);
@@ -209,8 +289,86 @@ mod tests {
 
 #[cfg(test)]
 mod ablation_tests {
-    use wisync_core::{Machine, MachineConfig, RunOutcome};
+    use wisync_core::{Machine, MachineConfig, Pid, RunOutcome};
+    use wisync_isa::{Instr, ProgramBuilder, Reg, Space};
     use wisync_workloads::TightLoop;
+
+    /// TightLoop barrier cycles per iteration on `cfg`.
+    fn barrier_cycles(cfg: MachineConfig) -> u64 {
+        TightLoop::new(5).run_cycles_per_iter(&mut Machine::new(cfg), 1_000_000_000)
+    }
+
+    /// The Tone channel barrier (§5.1) against the BM-central Data
+    /// channel barrier WiSync falls back to when the tone tables hold
+    /// no entry: at least 1.5x faster (526 vs 1082 cycles).
+    #[test]
+    fn tone_barrier_beats_the_data_channel_fallback() {
+        let tone = barrier_cycles(MachineConfig::wisync(16));
+        let mut cfg = MachineConfig::wisync(16);
+        cfg.tone_table_capacity = 0;
+        let fallback = barrier_cycles(cfg);
+        assert!(
+            3 * tone < 2 * fallback,
+            "tone {tone} vs fallback {fallback} cycles per barrier"
+        );
+    }
+
+    /// Baseline+'s tournament barrier with and without the virtual-tree
+    /// invalidation multicast: within 5% (1310 vs 1289 cycles). Its
+    /// flags have one waiter each, so there is little to multicast;
+    /// Baseline+'s lead over Baseline comes from the algorithm.
+    #[test]
+    fn tree_multicast_barely_moves_the_tournament_barrier() {
+        let tree = barrier_cycles(MachineConfig::baseline_plus(16));
+        let mut cfg = MachineConfig::baseline_plus(16);
+        cfg.mem.tree_multicast = false;
+        let plain = barrier_cycles(cfg);
+        assert!(
+            20 * tree.abs_diff(plain) < plain,
+            "tree {tree} vs plain {plain} cycles per barrier"
+        );
+    }
+
+    /// §4.2.1: TSO lets a core compute past an in-flight BM store, so a
+    /// store-then-compute loop runs faster than under SC (4599 vs 5599
+    /// cycles).
+    #[test]
+    fn tso_store_compute_loop_beats_sc() {
+        let run = |cfg: MachineConfig| {
+            let mut m = Machine::new(cfg);
+            let addr = m.bm_alloc(Pid(1), 1).unwrap();
+            let mut b = ProgramBuilder::new();
+            b.push(Instr::Li {
+                dst: Reg(1),
+                imm: 200,
+            });
+            let top = b.bind_here();
+            b.push(Instr::St {
+                src: Reg(1),
+                base: Reg(0),
+                offset: addr,
+                space: Space::Bm,
+            });
+            b.push(Instr::Compute { cycles: 20 });
+            b.push(Instr::Addi {
+                dst: Reg(1),
+                a: Reg(1),
+                imm: u64::MAX,
+            });
+            b.push(Instr::Bnez {
+                cond: Reg(1),
+                target: top,
+            });
+            b.push(Instr::Halt);
+            m.load_program(0, Pid(1), b.build().unwrap());
+            let r = m.run(1_000_000);
+            assert_eq!(r.outcome, RunOutcome::Completed);
+            r.cycles.as_u64()
+        };
+        let sc = run(MachineConfig::wisync(16));
+        let tso = run(MachineConfig::wisync(16).with_tso());
+        assert!(tso < sc, "TSO {tso} vs SC {sc} cycles");
+    }
 
     /// Without exponential backoff, a synchronized barrier burst on the
     /// Data channel livelocks: every retry collides with every other.
@@ -218,10 +376,6 @@ mod ablation_tests {
     #[test]
     fn no_backoff_livelocks_the_data_channel() {
         let mut cfg = MachineConfig::wisync_not(16);
-        // Pinned to the backoff MAC: the ablation removes *its* retry
-        // dither specifically, and must hold even when the ambient
-        // `WISYNC_MAC` selects a collision-free policy.
-        cfg.wireless.mac_policy = wisync_wireless::MacPolicy::Exponential;
         cfg.wireless.max_backoff_exp = 0;
         let mut m = Machine::new(cfg);
         TightLoop::new(3).load(&mut m);
@@ -235,8 +389,6 @@ mod ablation_tests {
     /// multi-channel trade-off this repo implements as an extension).
     #[test]
     fn second_data_channel_doubles_streaming_bandwidth() {
-        use wisync_core::Pid;
-        use wisync_isa::{Instr, ProgramBuilder, Reg, Space};
         let run = |channels: usize| {
             let mut cfg = MachineConfig::wisync(16);
             cfg.wireless.data_channels = channels;

@@ -13,7 +13,10 @@ use wisync_bench::report::assert_attribution_exact;
 use wisync_bench::BUDGET;
 use wisync_core::{ExecMode, Machine, MachineConfig, MachineKind, ObsConfig, RunOutcome};
 use wisync_testkit::{run_sweep, Json, SweepJob};
-use wisync_workloads::{CasKernel, CasKind, Livermore, TightLoop};
+use wisync_workloads::{
+    AluPhases, AppProfile, AppWorkload, CasKernel, CasKind, Livermore, MultiprogramMix, Slice,
+    TightLoop,
+};
 
 /// A complete fingerprint of a finished machine: outcome-bearing cycle
 /// count plus every statistic the paper figures read.
@@ -82,6 +85,45 @@ fn livermore_differential() {
     assert_modes_agree("Livermore", 16, &|m| {
         Livermore::loop3(64, 2).load(m);
     });
+}
+
+#[test]
+fn alu_phases_differential() {
+    assert_modes_agree("AluPhases", 16, &|m| AluPhases::new(2).load(m));
+}
+
+/// `name`'s Figure 10 profile, cut to `phases` barrier phases.
+fn app(name: &str, phases: u64) -> AppProfile {
+    let mut profile = AppProfile::by_name(name).expect("known profile");
+    profile.phases = phases;
+    profile
+}
+
+/// One barrier-bound, one convoy-bound and one BM-overflowing profile.
+#[test]
+fn app_profile_differential() {
+    for profile in [
+        app("streamcluster", 20),
+        app("raytrace", 2),
+        app("fluidanimate", 2),
+    ] {
+        assert_modes_agree(profile.name, 16, &|m| AppWorkload::new(profile).load(m));
+    }
+}
+
+#[test]
+fn multiprogram_mix_differential() {
+    let mix = MultiprogramMix::new(vec![
+        Slice {
+            profile: app("streamcluster", 5),
+            cores: 8,
+        },
+        Slice {
+            profile: app("raytrace", 1),
+            cores: 8,
+        },
+    ]);
+    assert_modes_agree("MultiprogramMix", 16, &|m| mix.load(m));
 }
 
 /// A budget that truncates a run mid-flight lands on the same outcome,

@@ -32,11 +32,6 @@ pub enum BmConsistency {
 /// `wisync-bench` enforce this. The micro-op path is the default; the
 /// reference path is the executable specification, kept for
 /// differential testing and debugging.
-///
-/// The `WISYNC_EXEC` environment variable (`uop` or `reference`/`ref`)
-/// selects the default for configurations built through the named
-/// constructors, so whole binaries (sweeps, perf runs) can be A/B'd
-/// without code changes; any other non-empty value is an error.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Decode programs to micro-ops at load; execute straight-line runs
@@ -45,46 +40,6 @@ pub enum ExecMode {
     Uop,
     /// The original per-`Instr` interpreter.
     Reference,
-}
-
-/// Every spelling [`ExecMode::parse`] accepts (in any case), as the
-/// error for an unknown `WISYNC_EXEC` value lists them.
-const EXEC_SPELLINGS: &str = "uop, default, reference, ref";
-
-impl ExecMode {
-    /// Parses a knob value (`uop`/`default` or `reference`/`ref`, in any
-    /// case), mirroring `MacPolicy::parse`; `None` for anything else.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "uop" | "default" => Some(ExecMode::Uop),
-            "reference" | "ref" => Some(ExecMode::Reference),
-            _ => None,
-        }
-    }
-
-    /// The mode selected by the `WISYNC_EXEC` environment variable, or
-    /// [`ExecMode::Uop`] when it is unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// On any value [`ExecMode::parse`] rejects: a typo must not run the
-    /// default silently.
-    pub fn from_env() -> Self {
-        let value = std::env::var_os("WISYNC_EXEC").unwrap_or_default();
-        ExecMode::resolve(&value.to_string_lossy())
-    }
-
-    fn resolve(value: &str) -> Self {
-        match value.trim() {
-            "" => ExecMode::default(),
-            v => ExecMode::parse(v).unwrap_or_else(|| {
-                panic!(
-                    "WISYNC_EXEC={value:?} is not an exec mode (accepted: {EXEC_SPELLINGS}; \
-                        unset or empty means uop)"
-                )
-            }),
-        }
-    }
 }
 
 impl std::fmt::Display for ExecMode {
@@ -202,20 +157,13 @@ impl MachineConfig {
             cores,
             hop_latency: 4,
             mem,
-            wireless: WirelessConfig {
-                // The WISYNC_MAC knob selects the Data channel's
-                // medium-access policy; unset or unknown values keep the
-                // paper's exponential backoff, so committed results are
-                // untouched.
-                mac_policy: wisync_wireless::MacPolicy::from_env(),
-                ..WirelessConfig::new()
-            },
+            wireless: WirelessConfig::new(),
             bm_rt: 2,
             bm_entries: 2048,
             tone_table_capacity: 16,
             bm_consistency: BmConsistency::Sc,
             seed: 0xA5ED,
-            exec: ExecMode::from_env(),
+            exec: ExecMode::Uop,
         }
     }
 
@@ -282,8 +230,8 @@ impl MachineConfig {
     }
 
     /// Overrides the Data channel's medium-access policy (see
-    /// [`wisync_wireless::MacPolicy`]). The default comes from the
-    /// `WISYNC_MAC` environment knob (exponential backoff when unset).
+    /// [`wisync_wireless::MacPolicy`]). The default is the paper's
+    /// exponential backoff.
     pub fn with_mac(mut self, mac: wisync_wireless::MacPolicy) -> Self {
         self.wireless.mac_policy = mac;
         self
@@ -343,36 +291,16 @@ mod tests {
 
     #[test]
     fn exec_mode_selection() {
-        // The environment default is Uop in a clean test environment;
-        // the builder overrides it explicitly either way.
+        assert_eq!(MachineConfig::wisync(16).exec, ExecMode::Uop);
         assert_eq!(
             MachineConfig::wisync(16)
                 .with_exec(ExecMode::Reference)
                 .exec,
             ExecMode::Reference
         );
-        assert_eq!(
-            MachineConfig::wisync(16).with_exec(ExecMode::Uop).exec,
-            ExecMode::Uop
-        );
         assert_eq!(ExecMode::Uop.to_string(), "uop");
         assert_eq!(ExecMode::Reference.to_string(), "reference");
         assert_eq!(ExecMode::default(), ExecMode::Uop);
-        // Every accepted alias, in any case and padding; unset or empty
-        // is the default only at the knob.
-        for name in EXEC_SPELLINGS.split(", ") {
-            let mode = ExecMode::parse(name).unwrap_or_else(|| panic!("{name}"));
-            let shouted = format!(" {} ", name.to_uppercase());
-            assert_eq!(ExecMode::resolve(&shouted), mode, "{shouted:?}");
-        }
-        assert_eq!(ExecMode::parse(""), None);
-        assert_eq!(ExecMode::resolve(""), ExecMode::Uop);
-    }
-
-    #[test]
-    #[should_panic(expected = "WISYNC_EXEC=\"refrence\" is not an exec mode (accepted: ")]
-    fn unknown_exec_mode_is_an_error() {
-        ExecMode::resolve("refrence");
     }
 
     #[test]

@@ -74,6 +74,3 @@ pub use wisync_obs::{Attribution, Bucket, ObsConfig, ObsState, Timeline};
 // Snapshot error vocabulary, so `Machine::restore` callers don't need a
 // direct `wisync-sim` dependency.
 pub use wisync_sim::SnapError;
-// The MAC knob, so callers resolving `WISYNC_MAC` don't need a direct
-// `wisync-wireless` dependency.
-pub use wisync_wireless::MacPolicy;

@@ -144,11 +144,8 @@ fn trace_captures_afb_aborts_under_contention() {
 #[test]
 fn trace_captures_backoff_cap_exhaustion() {
     // Clamp the backoff window so synchronized store bursts drive every
-    // frame's MAC exponent to the cap almost immediately. Pin the policy:
-    // this is a backoff-specific trace event, and an ambient WISYNC_MAC
-    // selecting a collision-free policy would starve it.
+    // frame's MAC exponent to the cap almost immediately.
     let mut cfg = MachineConfig::wisync(16);
-    cfg.wireless.mac_policy = wisync_wireless::MacPolicy::Exponential;
     cfg.wireless.max_backoff_exp = 1;
     let mut m = Machine::new(cfg);
     let base = m.bm_alloc(PID, 16).unwrap();

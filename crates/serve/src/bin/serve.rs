@@ -149,6 +149,7 @@ fn run_server_mode(opts: &Options) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    wisync_bench::exit_on_stray_knob();
     let opts = parse_args();
     match &opts.submit {
         Some(spec) => run_client(&opts, spec),

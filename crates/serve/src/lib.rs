@@ -9,11 +9,10 @@
 //! reproduces the full run's rows verbatim.
 //!
 //! Every result is content-addressed by a digest over the canonical
-//! spec, the execution knobs (`WISYNC_EXEC` / `WISYNC_MAC`), and the
-//! code version (see [`spec::cache_key`]). Resubmitting an
-//! already-answered spec is a cache hit served from
-//! `cache/<key>.json` with zero simulation work; changing any
-//! result-relevant knob changes the key. Utilization counters
+//! spec and the code version (see [`spec::cache_key`]); no environment
+//! variable configures a run. Resubmitting an already-answered spec is
+//! a cache hit served from `cache/<key>.json` with zero simulation
+//! work; changing any spec field changes the key. Utilization counters
 //! ([`wisync_bench::serve_metrics::ServiceMetrics`]) persist next to
 //! the cache and render via `report --service`.
 //!

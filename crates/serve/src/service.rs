@@ -8,6 +8,7 @@
 //! in [`crate::http`] is a thin shell over this, so tests (and the CI
 //! smoke job) exercise the same path a remote client does.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -70,7 +71,6 @@ pub type Progress = Arc<dyn Fn(&str) + Send + Sync>;
 pub struct JobService {
     cache_dir: PathBuf,
     threads: usize,
-    knobs: ExecKnobs,
     // Shared handles (not service-private state) so the HTTP shell can
     // answer `GET /metrics` and `GET /jobs/<id>/progress` while a
     // submission holds the service itself.
@@ -108,18 +108,10 @@ impl JobService {
         Ok(JobService {
             cache_dir,
             threads: threads.max(1),
-            knobs: ExecKnobs::from_env(),
             metrics: Arc::new(Mutex::new(metrics)),
             registry: Arc::new(JobRegistry::new()),
             progress: None,
         })
-    }
-
-    /// Overrides the execution knobs folded into cache keys (tests use
-    /// this instead of mutating the process environment).
-    pub fn with_knobs(mut self, knobs: ExecKnobs) -> JobService {
-        self.knobs = knobs;
-        self
     }
 
     /// Installs a per-job progress callback, invoked from worker
@@ -160,8 +152,8 @@ impl JobService {
         self.cache_dir.join(format!("{key}.json"))
     }
 
-    /// Serves one spec: cache hit if this exact (spec, knobs, code
-    /// version) has been answered before, otherwise runs the figure's
+    /// Serves one spec: cache hit if this exact (spec, code version) has
+    /// been answered before, otherwise runs the figure's
     /// grid slice and caches the report.
     ///
     /// # Errors
@@ -178,7 +170,7 @@ impl JobService {
                 grid::figure_names(spec.quick).join(", ")
             )));
         }
-        let key = key_hex(cache_key(&spec, &self.knobs));
+        let key = key_hex(cache_key(&spec, &ExecKnobs));
         let path = self.cache_path(&key);
         let job_id = self.registry.begin(&spec.figure);
 
@@ -199,7 +191,7 @@ impl JobService {
         let jobs_run = grid::figure_jobs(spec.quick, &spec.figure).len() as u64;
         self.registry.set_total(job_id, jobs_run);
         let body = self.run_figure(&spec, job_id);
-        std::fs::write(&path, &body)
+        write_atomic(&path, body.as_bytes(), true)
             .map_err(|e| ServeError::Io(format!("write {}: {e}", path.display())))?;
         {
             let mut metrics = self.lock_metrics();
@@ -279,19 +271,48 @@ impl JobService {
     fn persist_metrics(&self) {
         let doc = self.lock_metrics().to_json().render();
         // Metrics are advisory; a failed write must not fail the request.
-        let _ = std::fs::write(self.metrics_path(), doc + "\n");
+        let _ = write_atomic(&self.metrics_path(), (doc + "\n").as_bytes(), false);
     }
 }
 
-/// Total bytes of cached results in `dir` (`metrics.json` excluded: it
-/// is service state, not a cached result).
+/// Writes `bytes` to `path` through a temp file in the same directory
+/// and a rename, so readers see the old file or the whole new one,
+/// never a prefix. A crash leaves at most a stray `.*.tmp` file, which
+/// is never read as a cache entry. `durable` syncs the temp file before
+/// the rename, so that after a machine crash the file is whole or
+/// absent; cache entries need that, while `metrics.json` is advisory,
+/// rewritten on every request, and read leniently.
+fn write_atomic(path: &Path, bytes: &[u8], durable: bool) -> std::io::Result<()> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(".{name}.{}.tmp", std::process::id()));
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            if durable {
+                file.sync_all()?;
+            }
+            Ok(())
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Total bytes of cached results (`<key>.json`) in `dir`: `metrics.json`
+/// is service state, and temp files are not results.
 fn dir_bytes(dir: &Path) -> u64 {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return 0;
     };
     entries
         .flatten()
-        .filter(|e| e.file_name() != "metrics.json")
+        .filter(|e| {
+            let name = e.file_name();
+            let name = name.to_string_lossy();
+            name.ends_with(".json") && name != "metrics.json"
+        })
         .filter_map(|e| e.metadata().ok())
         .filter(|m| m.is_file())
         .map(|m| m.len())

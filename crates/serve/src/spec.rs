@@ -3,17 +3,13 @@
 //! A job spec is the JSON a client submits: which figure of the paper's
 //! experiment grid to produce, under which base seed, at which grid
 //! scale. The service content-addresses every result by a digest over
-//! the *canonical* spec plus everything else that can change the bytes
-//! of the answer: the resolved execution-mode knob (`WISYNC_EXEC` — the
-//! determinism contract says it *shouldn't* change results, so keying
-//! on it turns any contract violation into a cache miss instead of a
-//! silently wrong cache hit), the resolved MAC policy (`WISYNC_MAC` — which
-//! *does* change result bytes away from the default backoff), and the
-//! code version. Two submissions that differ only in JSON whitespace or
-//! key order map to the same key; two that differ in any
-//! result-relevant knob never collide.
+//! the *canonical* spec and the code version. The spec is all a run
+//! takes: the machines it builds are configured in code, and no
+//! environment variable changes them. Two submissions that differ only
+//! in JSON whitespace or key order map to the same key; two that differ
+//! in any spec field never collide.
 
-use wisync_core::{ExecMode, MacPolicy, SNAPSHOT_VERSION};
+use wisync_core::SNAPSHOT_VERSION;
 use wisync_testkit::Json;
 
 /// Default base seed, matching the committed `results/*.json` sweeps.
@@ -92,41 +88,25 @@ impl JobSpec {
     }
 }
 
-/// The execution-environment half of the cache key: every knob outside
-/// the spec that is allowed to influence (or, under the determinism
-/// contract, is *supposed not* to influence) result bytes. Both hold
-/// the *resolved* knob, so every spelling of one setting (unset,
-/// `backoff`, `Exp`, ...) shares one cache entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExecKnobs {
-    /// The resolved `WISYNC_EXEC` mode (`uop` or `reference`).
-    pub exec: String,
-    /// The resolved `WISYNC_MAC` label (the Data channel medium-access
-    /// policy — *does* change result bytes for any value other than
-    /// the default `backoff`).
-    pub mac: String,
-}
+/// A placeholder for configuration read from outside the spec. It
+/// holds nothing and reads nothing: nothing outside the spec changes a
+/// run. It exists only because the repository benchmark still builds a
+/// [`cache_key`] with it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ExecKnobs;
 
 impl ExecKnobs {
-    /// Resolves the knobs exactly as `MachineConfig` will when the jobs
-    /// actually run.
-    ///
-    /// # Panics
-    ///
-    /// On an unknown `WISYNC_EXEC` or `WISYNC_MAC` value.
+    /// The placeholder; reads no environment.
     pub fn from_env() -> ExecKnobs {
-        ExecKnobs {
-            exec: ExecMode::from_env().to_string(),
-            mac: MacPolicy::from_env().label().to_string(),
-        }
+        ExecKnobs
     }
 }
 
-/// Content-address of a result: a digest over the canonical spec, the
-/// execution knobs, and the code version (crate version plus the
-/// machine snapshot format version, which moves whenever serialized
-/// machine state changes shape).
-pub fn cache_key(spec: &JobSpec, knobs: &ExecKnobs) -> u128 {
+/// Content-address of a result: a digest over the canonical spec and
+/// the code version (crate version plus the machine snapshot format
+/// version, which moves whenever serialized machine state changes
+/// shape).
+pub fn cache_key(spec: &JobSpec, _knobs: &ExecKnobs) -> u128 {
     let doc = Json::obj([
         (
             "code_version",
@@ -136,8 +116,6 @@ pub fn cache_key(spec: &JobSpec, knobs: &ExecKnobs) -> u128 {
                 SNAPSHOT_VERSION
             )),
         ),
-        ("exec", Json::Str(knobs.exec.clone())),
-        ("mac", Json::Str(knobs.mac.clone())),
         ("spec", spec.canonical()),
     ]);
     doc.canonical_digest()
@@ -151,21 +129,6 @@ pub fn key_hex(key: u128) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The knobs `WISYNC_EXEC=exec WISYNC_MAC=mac` resolve to.
-    fn resolved(exec: &str, mac: &str) -> ExecKnobs {
-        ExecKnobs {
-            exec: ExecMode::parse(exec).expect("exec mode").to_string(),
-            mac: MacPolicy::parse(mac)
-                .expect("MAC policy")
-                .label()
-                .to_string(),
-        }
-    }
-
-    fn knobs() -> ExecKnobs {
-        resolved("uop", "backoff")
-    }
 
     #[test]
     fn parse_applies_defaults_and_rejects_junk() {
@@ -191,7 +154,7 @@ mod tests {
     fn key_ignores_spelling_but_not_content() {
         let a = JobSpec::parse(r#"{"figure": "fig7", "seed": 49374, "quick": false}"#).unwrap();
         let b = JobSpec::parse(r#"{  "quick":false,"seed":49374,  "figure":"fig7" }"#).unwrap();
-        assert_eq!(cache_key(&a, &knobs()), cache_key(&b, &knobs()));
+        assert_eq!(cache_key(&a, &ExecKnobs), cache_key(&b, &ExecKnobs));
 
         let other_seed = JobSpec {
             seed: 42,
@@ -205,41 +168,10 @@ mod tests {
             figure: "fig8".to_string(),
             ..a.clone()
         };
-        let base = cache_key(&a, &knobs());
-        assert_ne!(base, cache_key(&other_seed, &knobs()));
-        assert_ne!(base, cache_key(&other_quick, &knobs()));
-        assert_ne!(base, cache_key(&other_figure, &knobs()));
-    }
-
-    #[test]
-    fn key_folds_in_exec_and_mac_knobs() {
-        let spec = JobSpec::new("fig7");
-        let base = cache_key(&spec, &knobs());
-        let mut k = knobs();
-        k.exec = "reference".to_string();
-        assert_ne!(base, cache_key(&spec, &k));
-        // The MAC policy genuinely changes result bytes, so two runs
-        // under different `WISYNC_MAC` values must never share a cache
-        // entry — and distinct non-default policies must not collide
-        // with each other either.
-        let mut k = knobs();
-        k.mac = "token".to_string();
-        let token_key = cache_key(&spec, &k);
-        assert_ne!(base, token_key);
-        k.mac = "hybrid".to_string();
-        assert_ne!(token_key, cache_key(&spec, &k));
-
-        // Keys are built from resolved knobs: every spelling of one
-        // setting (an unset knob resolves to `uop`/`backoff`) shares a
-        // key, and distinct policies still differ.
-        let key = |exec: &str, mac: &str| cache_key(&spec, &resolved(exec, mac));
-        assert_eq!(key("default", "default"), base);
-        assert_eq!(key("UOP", "Exp"), base);
-        assert_eq!(key("uop", "Token"), token_key);
-        assert_eq!(key("default", "token-ring"), token_key);
-        assert_ne!(key("ref", "backoff"), base);
-        assert_ne!(key("uop", "reactive"), base);
-        assert_ne!(key("uop", "reactive"), token_key);
+        let base = cache_key(&a, &ExecKnobs);
+        assert_ne!(base, cache_key(&other_seed, &ExecKnobs));
+        assert_ne!(base, cache_key(&other_quick, &ExecKnobs));
+        assert_ne!(base, cache_key(&other_figure, &ExecKnobs));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use wisync_serve::http::run_server;
-use wisync_serve::{submit_http, ExecKnobs, JobService, ServeError};
+use wisync_serve::{cache_key, key_hex, submit_http, ExecKnobs, JobService, JobSpec, ServeError};
 
 /// A fresh per-test cache directory under the target dir (no tempfile
 /// dependency; the workspace is hermetic).
@@ -22,18 +22,8 @@ fn cache_dir(test: &str) -> PathBuf {
     dir
 }
 
-/// Pinned knobs so tests are independent of the ambient environment.
-fn pinned_knobs() -> ExecKnobs {
-    ExecKnobs {
-        exec: "default".to_string(),
-        mac: "default".to_string(),
-    }
-}
-
 fn service(test: &str) -> JobService {
-    JobService::new(cache_dir(test), 2)
-        .unwrap()
-        .with_knobs(pinned_knobs())
+    JobService::new(cache_dir(test), 2).unwrap()
 }
 
 fn committed(figure: &str) -> String {
@@ -81,42 +71,45 @@ fn resubmission_is_a_cache_hit_with_no_simulation() {
 }
 
 #[test]
-fn knob_differing_submissions_get_distinct_keys() {
-    let dir = cache_dir("knobs");
+fn stale_temp_files_are_never_served_or_counted() {
+    let dir = cache_dir("stale-temp");
     let spec = r#"{"figure": "table4"}"#;
-    let mut base = JobService::new(&dir, 1).unwrap().with_knobs(pinned_knobs());
-    let first = base.submit(spec).unwrap();
+    let key = key_hex(cache_key(&JobSpec::parse(spec).unwrap(), &ExecKnobs));
+    // What a crash between the temp write and the rename leaves behind:
+    // a truncated body under the entry's temp name.
+    std::fs::create_dir_all(&dir).unwrap();
+    let stale = dir.join(format!(".{key}.json.1.tmp"));
+    std::fs::write(&stale, "{\"figure\": \"tab").unwrap();
 
-    // Same directory, different exec/MAC knobs: every knob change
-    // must produce a fresh key (a miss), never a false cache hit.
-    for mutate in [
-        |k: &mut ExecKnobs| k.exec = "reference".to_string(),
-        |k: &mut ExecKnobs| k.mac = "token".to_string(),
-    ] {
-        let mut knobs = pinned_knobs();
-        mutate(&mut knobs);
-        let mut service = JobService::new(&dir, 1).unwrap().with_knobs(knobs);
-        let response = service.submit(spec).unwrap();
-        assert!(!response.cache_hit);
-        assert_ne!(response.key, first.key);
-    }
+    let mut service = JobService::new(&dir, 1).unwrap();
+    let response = service.submit(spec).unwrap();
+    assert!(!response.cache_hit);
+    assert_eq!(response.body, committed("table4"));
+    let entry = std::fs::metadata(service.cache_path(&key)).unwrap().len();
+    assert_eq!(service.metrics().cache_bytes, entry);
+    assert!(stale.is_file(), "the stale file is left alone");
+    // No temp file of this service's own writes outlives them.
+    let temps = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+        .count();
+    assert_eq!(temps, 1);
 
-    // Identical knobs in a fresh service instance: same key, cache hit.
-    let mut again = JobService::new(&dir, 1).unwrap().with_knobs(pinned_knobs());
-    let replay = again.submit(spec).unwrap();
-    assert!(replay.cache_hit);
-    assert_eq!(replay.key, first.key);
+    let hit = service.submit(spec).unwrap();
+    assert!(hit.cache_hit);
+    assert_eq!(hit.body, committed("table4"));
 }
 
 #[test]
 fn counters_carry_over_across_service_restarts() {
     let dir = cache_dir("restart");
-    let mut first = JobService::new(&dir, 1).unwrap().with_knobs(pinned_knobs());
+    let mut first = JobService::new(&dir, 1).unwrap();
     first.submit(r#"{"figure": "table4"}"#).unwrap();
     let jobs_before = first.metrics().jobs_run;
     drop(first);
 
-    let mut second = JobService::new(&dir, 1).unwrap().with_knobs(pinned_knobs());
+    let mut second = JobService::new(&dir, 1).unwrap();
     assert_eq!(second.metrics().jobs_run, jobs_before);
     second.submit(r#"{"figure": "table4"}"#).unwrap();
     assert_eq!(second.metrics().cache_hits, 1);
@@ -151,7 +144,6 @@ fn progress_callback_streams_per_job_lines() {
     let counted = Arc::clone(&lines);
     let mut service = JobService::new(cache_dir("progress"), 2)
         .unwrap()
-        .with_knobs(pinned_knobs())
         .with_progress(Arc::new(move |_line| {
             counted.fetch_add(1, Ordering::Relaxed);
         }));
@@ -166,7 +158,7 @@ fn http_round_trip_serves_and_caches() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let server = std::thread::spawn(move || {
-        let mut service = JobService::new(&dir, 2).unwrap().with_knobs(pinned_knobs());
+        let mut service = JobService::new(&dir, 2).unwrap();
         run_server(listener, &mut service, Some(4));
     });
 
@@ -201,7 +193,7 @@ fn content_types_metrics_and_progress_routes() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let server = std::thread::spawn(move || {
-        let mut service = JobService::new(&dir, 2).unwrap().with_knobs(pinned_knobs());
+        let mut service = JobService::new(&dir, 2).unwrap();
         run_server(listener, &mut service, Some(5));
     });
 
@@ -275,21 +267,21 @@ fn metrics_and_progress_answer_during_a_running_job() {
     let polled = Arc::clone(&live);
     let poll_addr = addr.clone();
     let server = std::thread::spawn(move || {
-        let mut service = JobService::new(&dir, 2)
-            .unwrap()
-            .with_knobs(pinned_knobs())
-            .with_progress(Arc::new(move |line: &str| {
-                if !line.starts_with("figure ") {
-                    return; // poll once, on the header line
-                }
-                for path in ["/metrics", "/jobs/1/progress"] {
-                    let r = wisync_serve::http_request(&poll_addr, "GET", path, "").unwrap();
-                    polled
-                        .lock()
-                        .unwrap()
-                        .push((r.status, path.to_string(), r.body));
-                }
-            }));
+        let mut service =
+            JobService::new(&dir, 2)
+                .unwrap()
+                .with_progress(Arc::new(move |line: &str| {
+                    if !line.starts_with("figure ") {
+                        return; // poll once, on the header line
+                    }
+                    for path in ["/metrics", "/jobs/1/progress"] {
+                        let r = wisync_serve::http_request(&poll_addr, "GET", path, "").unwrap();
+                        polled
+                            .lock()
+                            .unwrap()
+                            .push((r.status, path.to_string(), r.body));
+                    }
+                }));
         run_server(listener, &mut service, Some(3));
     });
 

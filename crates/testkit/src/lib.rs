@@ -1,8 +1,8 @@
-//! Hermetic property-testing and benchmarking toolkit.
+//! Hermetic property-testing and sweep toolkit.
 //!
 //! The WiSync workspace builds in environments with no access to a crate
-//! registry, so it cannot depend on `proptest` or `criterion`. This crate
-//! provides the subset of both that the workspace actually needs, built
+//! registry, so it cannot depend on `proptest`. This crate provides the
+//! subset of it that the workspace actually needs, built
 //! entirely on `std` and the deterministic [`wisync_sim::DetRng`]:
 //!
 //! * [`gen`] — composable value generators with integer/vector shrinking,
@@ -13,9 +13,6 @@
 //!   reproduction seed is printed so
 //!   `WISYNC_TESTKIT_SEED=<seed> cargo test <name>` replays the identical
 //!   failure.
-//! * [`mod@bench`] — a criterion-lite harness: warmup, timed iterations,
-//!   median/p95 via [`wisync_sim::Histogram`], JSON reports under
-//!   `results/`.
 //! * [`sweep`] — a `std::thread` pool that runs experiment configurations
 //!   concurrently with deterministic per-job seeds and deterministic
 //!   output ordering.
@@ -37,13 +34,11 @@
 //! });
 //! ```
 
-pub mod bench;
 pub mod gen;
 pub mod json;
 pub mod runner;
 pub mod sweep;
 
-pub use bench::{BenchConfig, BenchResult, Harness};
 pub use json::{write_doc, Json, JsonError};
 pub use runner::{check, check_with, Config, Failed, PropResult};
 pub use sweep::{derive_seed, run_sweep, run_sweep_indexed, run_sweep_timed, SweepJob};

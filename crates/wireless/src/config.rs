@@ -31,59 +31,14 @@ pub enum MacPolicy {
     AdaptiveHybrid,
 }
 
-/// Every spelling [`MacPolicy::parse`] accepts (in any case), as the
-/// error for an unknown `WISYNC_MAC` value lists them.
-const MAC_SPELLINGS: &str = "backoff, exp, exponential, default, reactive, token, tokenring, \
-                             token-ring, token_ring, hybrid, adaptive, adaptivehybrid";
-
 impl MacPolicy {
-    /// Stable lowercase label, used in result stamps, cache keys, and
-    /// the `WISYNC_MAC` knob.
+    /// Stable lowercase label, used in result stamps and reports.
     pub fn label(self) -> &'static str {
         match self {
             MacPolicy::Exponential => "backoff",
             MacPolicy::Reactive => "reactive",
             MacPolicy::TokenRing => "token",
             MacPolicy::AdaptiveHybrid => "hybrid",
-        }
-    }
-
-    /// Parses a knob value. Recognizes each variant's [`label`] plus
-    /// common aliases; `None` for anything else.
-    ///
-    /// [`label`]: MacPolicy::label
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "backoff" | "exp" | "exponential" | "default" => Some(MacPolicy::Exponential),
-            "reactive" => Some(MacPolicy::Reactive),
-            "token" | "tokenring" | "token-ring" | "token_ring" => Some(MacPolicy::TokenRing),
-            "hybrid" | "adaptive" | "adaptivehybrid" => Some(MacPolicy::AdaptiveHybrid),
-            _ => None,
-        }
-    }
-
-    /// Reads the `WISYNC_MAC` environment knob. Unset or empty means
-    /// the paper's exponential backoff, so existing invocations and
-    /// committed results are unaffected.
-    ///
-    /// # Panics
-    ///
-    /// On any value [`MacPolicy::parse`] rejects: a typo must not run
-    /// the default silently.
-    pub fn from_env() -> Self {
-        let value = std::env::var_os("WISYNC_MAC").unwrap_or_default();
-        MacPolicy::resolve(&value.to_string_lossy())
-    }
-
-    fn resolve(value: &str) -> Self {
-        match value.trim() {
-            "" => MacPolicy::default(),
-            v => MacPolicy::parse(v).unwrap_or_else(|| {
-                panic!(
-                    "WISYNC_MAC={value:?} is not a MAC policy (accepted: {MAC_SPELLINGS}; unset \
-                        or empty means backoff)"
-                )
-            }),
         }
     }
 
@@ -189,32 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn mac_policy_labels_round_trip_through_parse() {
-        for p in MacPolicy::ALL {
-            assert_eq!(MacPolicy::parse(p.label()), Some(p));
+    fn mac_policy_labels_are_distinct() {
+        let labels: Vec<String> = MacPolicy::ALL.iter().map(|p| p.to_string()).collect();
+        for (i, label) in labels.iter().enumerate() {
+            assert_eq!(label, MacPolicy::ALL[i].label());
+            assert!(!labels[..i].contains(label), "{label} repeats");
         }
-        assert_eq!(MacPolicy::parse("exp"), Some(MacPolicy::Exponential));
-        assert_eq!(MacPolicy::parse("Token-Ring"), Some(MacPolicy::TokenRing));
-        assert_eq!(
-            MacPolicy::parse("ADAPTIVE"),
-            Some(MacPolicy::AdaptiveHybrid)
-        );
-        assert_eq!(MacPolicy::parse("nonsense"), None);
         assert_eq!(MacPolicy::default(), MacPolicy::Exponential);
-        // Every accepted alias, in any case and padding; unset or empty
-        // is the default only at the knob.
-        for name in MAC_SPELLINGS.split(", ") {
-            let policy = MacPolicy::parse(name).unwrap_or_else(|| panic!("{name}"));
-            let shouted = format!(" {} ", name.to_uppercase());
-            assert_eq!(MacPolicy::resolve(&shouted), policy, "{shouted:?}");
-        }
-        assert_eq!(MacPolicy::parse(""), None);
-        assert_eq!(MacPolicy::resolve(""), MacPolicy::Exponential);
-    }
-
-    #[test]
-    #[should_panic(expected = "WISYNC_MAC=\"tokn\" is not a MAC policy (accepted: ")]
-    fn unknown_mac_policy_is_an_error() {
-        MacPolicy::resolve("tokn");
     }
 }
